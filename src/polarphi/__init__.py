@@ -9,11 +9,10 @@ quadrature for bodies of revolution, and Monte Carlo for anything with a
 membership oracle -- and verifies the decomposition theorem, monotonicity
 chain, and volume-product inequalities behind it numerically.
 
-Hot kernels are numba-jitted with vectorized numpy fallbacks; set
-POLARPHI_NUMBA=0 to force the fallback path.
+The Monte Carlo samplers and the profile evaluators are vectorized over
+samples and quadrature nodes with numpy.
 """
 
-from ._accel import HAVE_NUMBA, USE_NUMBA
 from .bodies import (
     POLAR,
     PRIMAL,
@@ -85,8 +84,6 @@ from .specfun import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_NUMBA",
-    "USE_NUMBA",
     "PRIMAL",
     "POLAR",
     "Interval",

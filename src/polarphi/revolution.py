@@ -38,8 +38,8 @@ Implementation notes.
   (cone-type profiles have corners exactly there).  One profile evaluation
   per node serves all three integrands.
 
-Every evaluator exists as a vectorized numpy routine and as a numba scalar
-kernel batched over nodes; POLARPHI_NUMBA picks the production path.
+* Profile evaluators are vectorized over nodes: golden section runs on all
+  nodes at once, one bracket per node.
 """
 
 import heapq
@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, USE_NUMBA, njit
 from .errors import ConvergenceError, DomainError, VerificationError
 from .exact import phi_pball
 
@@ -110,10 +109,7 @@ class RevolutionProfile:
         """Profile values at the given axis coordinates."""
         t = np.atleast_1d(np.asarray(t, dtype=np.float64))
         kind, param, kt, kr = self._data()
-        depth = self.depth
-        if USE_NUMBA:
-            return _NB_BATCH[depth](kind, param, kt, kr, t)
-        return _NP_EVAL[depth](kind, param, kt, kr, t)
+        return _NP_EVAL[self.depth](kind, param, kt, kr, t)
 
     def value(self, t: float) -> float:
         return float(self.values(np.array([t], dtype=np.float64))[0])
@@ -196,99 +192,6 @@ _NP_EVAL = (
     _polar_np_factory(_r_base_np),
     _polar_np_factory(_polar_np_factory(_r_base_np)),
 )
-
-
-def _r_base_scalar(kind, param, kt, kr, t):
-    at = abs(t)
-    if kind == 0:
-        v = 1.0 - t * t
-        return math.sqrt(v) if v > 0.0 else 0.0
-    if kind == 1:
-        return 1.0
-    if kind == 2:
-        return 1.0 - at
-    if kind == 3:
-        v = 1.0 - at**param
-        return v ** (1.0 / param) if v > 0.0 else 0.0
-    # piecewise-linear: clamp outside, binary-search the segment
-    m = kt.shape[0]
-    if t <= kt[0]:
-        return kr[0]
-    if t >= kt[m - 1]:
-        return kr[m - 1]
-    lo = 0
-    hi = m - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if kt[mid] <= t:
-            lo = mid
-        else:
-            hi = mid
-    w = (t - kt[lo]) / (kt[hi] - kt[lo])
-    return kr[lo] + w * (kr[hi] - kr[lo])
-
-
-def _polar_scalar_factory(inner):
-    def ev(kind, param, kt, kr, s):
-        s = abs(s)
-        a = 0.0
-        b = 1.0
-        c = a + _INVPHI2 * (b - a)
-        d = a + _INVPHI * (b - a)
-
-        def obj(u):
-            t = 1.0 - u * u
-            r = inner(kind, param, kt, kr, t)
-            if r > 0.0:
-                return (1.0 - t * s) / r
-            return _BIG
-
-        fc = obj(c)
-        fd = obj(d)
-        for _ in range(_GOLDEN_ITERS):
-            if fc < fd:
-                b = d
-                d = c
-                fd = fc
-                c = a + _INVPHI2 * (b - a)
-                fc = obj(c)
-            else:
-                a = c
-                c = d
-                fc = fd
-                d = a + _INVPHI * (b - a)
-                fd = obj(d)
-        return fc if fc < fd else fd
-
-    return ev
-
-
-def _batch_factory(scalar_ev):
-    def batch(kind, param, kt, kr, xs):
-        out = np.empty(xs.shape[0])
-        for i in range(xs.shape[0]):
-            out[i] = scalar_ev(kind, param, kt, kr, xs[i])
-        return out
-
-    return batch
-
-
-if HAVE_NUMBA:
-    _r_base_nb = njit(cache=True)(_r_base_scalar)
-    _polar1_nb = njit(_polar_scalar_factory(_r_base_nb))
-    _polar2_nb = njit(_polar_scalar_factory(_polar1_nb))
-    _NB_BATCH = (
-        njit(_batch_factory(_r_base_nb)),
-        njit(_batch_factory(_polar1_nb)),
-        njit(_batch_factory(_polar2_nb)),
-    )
-else:  # pragma: no cover - plain-python stand-ins keep the tuple importable
-    _polar1_py = _polar_scalar_factory(_r_base_scalar)
-    _NB_BATCH = (
-        _batch_factory(_r_base_scalar),
-        _batch_factory(_polar1_py),
-        _batch_factory(_polar_scalar_factory(_polar1_py)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +348,7 @@ def profile_integrals(
     if n < 2:
         raise DomainError(f"revolution bodies need dimension >= 2, got {n}")
     kind, param, kt, kr = profile._data()
-    depth = profile.depth
-    if USE_NUMBA:
-        batch = _NB_BATCH[depth]
-    else:
-        batch = _NP_EVAL[depth]
+    batch = _NP_EVAL[profile.depth]
 
     def gk(lo, hi):
         mid = 0.5 * (lo + hi)

@@ -6,15 +6,13 @@ across workers.  Slots separate the independent draws a single sample needs
 (one per coordinate, plus signs, plus the radial exponential); the counter
 advances within a slot for rejection-style retries.
 
-Scalar kernels are numba-friendly (and jitted by the sampler); the _v
-functions are the vectorized numpy twins operating on uint64 arrays.  numpy
-scalar uint64 arithmetic warns on wraparound, array arithmetic doesn't --
-hence arrays everywhere and one errstate guard at the public entry points.
+The functions operate on uint64 arrays.  Multiplication wraps modulo 2^64
+by design; numpy warns on that overflow, so the public entry points run
+under one errstate guard.
 """
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, njit
 from .errors import DomainError
 
 MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -32,62 +30,27 @@ def _fin(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _sample_base(seed, i):
-    """Per-sample stream key: finalize twice so close seeds decorrelate."""
-    return _fin((_fin(seed) + GOLD * i) & MASK)
-
-
-def _u01(base, slot, k):
-    """Uniform on (0, 1), exclusive both ends: ((v >> 11) + 0.5) * 2^-53."""
-    v = _fin((base + GOLD * (slot * _SLOT_STRIDE + k)) & MASK)
-    return (float(v >> np.uint64(11)) + 0.5) * _INV53
-
-
-if HAVE_NUMBA:
-    _fin_nb = njit(cache=True)(_fin)
-
-    @njit(cache=True)
-    def _sample_base_nb(seed, i):
-        return _fin_nb((_fin_nb(seed) + GOLD * i) & MASK)
-
-    @njit(cache=True)
-    def _u01_nb(base, slot, k):
-        v = _fin_nb((base + GOLD * (slot * _SLOT_STRIDE + k)) & MASK)
-        return (float(v >> np.uint64(11)) + 0.5) * _INV53
-
-else:  # pragma: no cover - no-numba fallback aliases
-    _fin_nb = _fin
-    _sample_base_nb = _sample_base
-    _u01_nb = _u01
-
-
-# ---- vectorized twins (uint64 ndarray in, float64 ndarray out) ----
-
-
-def _fin_v(z):
-    z = (z + GOLD) & MASK
-    z = ((z ^ (z >> np.uint64(30))) * _M1) & MASK
-    z = ((z ^ (z >> np.uint64(27))) * _M2) & MASK
-    return z ^ (z >> np.uint64(31))
-
-
 def sample_bases_v(seed, indices):
-    """Vector of per-sample stream keys for an array of sample indices."""
+    """Vector of per-sample stream keys for an array of sample indices.
+
+    The seed is finalized twice so that close seeds decorrelate.
+    """
     with np.errstate(over="ignore"):
         seed_arr = np.full(indices.shape, np.uint64(seed), dtype=np.uint64)
-        return _fin_v((_fin_v(seed_arr) + GOLD * indices.astype(np.uint64)) & MASK)
+        return _fin((_fin(seed_arr) + GOLD * indices.astype(np.uint64)) & MASK)
 
 
 def u01_v(bases, slot, k):
     """Uniforms on (0,1) for an array of stream keys at (slot, counter k).
 
-    slot and k may be scalars or uint64 arrays broadcasting against bases.
+    Exclusive at both ends: ((v >> 11) + 0.5) * 2^-53.  slot and k may be
+    scalars or uint64 arrays broadcasting against bases.
     """
     with np.errstate(over="ignore"):
         slot = np.asarray(slot, dtype=np.uint64)
         k = np.asarray(k, dtype=np.uint64)
         off = GOLD * (slot * _SLOT_STRIDE + k)
-        v = _fin_v((bases + off) & MASK)
+        v = _fin((bases + off) & MASK)
         return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
 
 

@@ -29,9 +29,10 @@ possible scheme, and can be swapped out without touching the estimator.  If
 the acceptance rate stays below 1e-6 after two million candidates the
 envelope is declared unusable and an EnvelopeError explains why.
 
-The per-sample scalar kernel carries numba @njit with a vectorized numpy
-twin; POLARPHI_NUMBA=0 selects the fallback.  Branch decisions consume the
-same counters in both paths, so the two agree to floating-point roundoff.
+The p-ball kernel is vectorized over samples: each coordinate runs its GS
+rounds on every sample at once and masks the lanes already accepted.  A
+lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
+other lanes do, so each sample stays a function of (seed, index) alone.
 """
 
 import math
@@ -39,10 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import HAVE_NUMBA, USE_NUMBA, njit
 from .bodies import PRIMAL, Interval, PBall, bounding_radius, membership_batch, polar_body, resolve_side
 from .errors import DomainError, EnvelopeError
-from .rng import _sample_base_nb, _u01_nb, sample_bases_v, u01_v
+from .rng import sample_bases_v, u01_v
 
 _E = math.e
 _MIN_ACCEPTANCE = 1e-6
@@ -62,57 +62,10 @@ class MCEstimate:
 # ---------------------------------------------------------------------------
 
 
-def _fill_pball_py(out, seed, indices, p):
-    """Scalar reference kernel (jitted when numba is available)."""
-    m, n = out.shape
-    pinf = p == np.inf
-    a = 1.0 / p
-    b = 1.0 + a / _E
-    mags = np.empty(n)
-    for i in range(m):
-        base = _sample_base_nb(np.uint64(seed), indices[i])
-        if pinf:
-            for j in range(n):
-                out[i, j] = 2.0 * _u01_nb(base, np.uint64(j), np.uint64(0)) - 1.0
-            continue
-        s = 0.0
-        for j in range(n):
-            if p == 1.0:
-                g = -np.log(_u01_nb(base, np.uint64(j), np.uint64(0)))
-                mag = g
-            else:
-                k = np.uint64(0)
-                while True:
-                    u1 = _u01_nb(base, np.uint64(j), k)
-                    u2 = _u01_nb(base, np.uint64(j), k + np.uint64(1))
-                    k = k + np.uint64(2)
-                    q = b * u1
-                    if q <= 1.0:
-                        g = q**p  # may underflow at large p; negligible in the sum
-                        if u2 <= np.exp(-g):
-                            mag = q  # exact magnitude: (q^p)^(1/p)
-                            break
-                    else:
-                        g = -np.log((b - q) * p)  # (b - q) / a
-                        if u2 <= np.exp((a - 1.0) * np.log(g)):
-                            mag = np.exp(a * np.log(g))
-                            break
-            mags[j] = mag
-            s += g
-        s += -np.log(_u01_nb(base, np.uint64(n + 1), np.uint64(0)))
-        denom = s**a
-        for j in range(n):
-            u = _u01_nb(base, np.uint64(n), np.uint64(j))
-            sign = -1.0 if u < 0.5 else 1.0
-            out[i, j] = sign * mags[j] / denom
-    return out
-
-
-_fill_pball_nb = njit(cache=True)(_fill_pball_py) if HAVE_NUMBA else _fill_pball_py
-
-
-def _pball_columns_np(bases, n, p):
-    """Vectorized twin: per-coordinate GS with an active-lane mask."""
+def _sample_pball_indices(n, p, seed, indices):
+    """Uniform points in the unit p-ball, one row per sample index."""
+    bases = sample_bases_v(seed, indices)
+    p = float(p)
     m = bases.shape[0]
     if p == np.inf:
         cols = [2.0 * u01_v(bases, j, 0) - 1.0 for j in range(n)]
@@ -158,15 +111,6 @@ def _pball_columns_np(bases, n, p):
     for j in range(n):
         signs[:, j] = np.where(u01_v(bases, n, j) < 0.5, -1.0, 1.0)
     return signs * mags / denom[:, None]
-
-
-def _sample_pball_indices(dim, p, seed, indices):
-    if USE_NUMBA:
-        out = np.empty((indices.shape[0], dim))
-        _fill_pball_nb(out, seed, indices, float(p))
-        return out
-    bases = sample_bases_v(seed, indices)
-    return _pball_columns_np(bases, dim, float(p))
 
 
 def sample_pball(dim, p, count, seed, *, index_offset=0):

@@ -1,19 +1,15 @@
 """Real-argument log-gamma, log-beta, digamma and polygamma (orders 1-3).
 
-Evaluation strategy: recurrence-shift the argument up to ``x >= 12``, then a
-Bernoulli-coefficient asymptotic expansion.  Eight Bernoulli terms at shift 12
-leave the truncated tail below 1e-16 relative, so the dominant error is the
-accumulated rounding of the shift products (worst observed: ~9e-15 for
-log_gamma, ~2e-15 for the polygammas, on a log grid over [1e-3, 1e4]).
-
-Each kernel exists twice: the plain-Python functions here, and numba-jitted
-twins compiled from the same source objects.  Public wrappers validate the
-domain and dispatch on :data:`polarphi._accel.USE_NUMBA`.
+log_gamma and log_beta use the C library's lgamma (math.lgamma).  The
+polygammas recurrence-shift the argument up to ``x >= 12``, then sum a
+Bernoulli-coefficient asymptotic expansion.  Eight Bernoulli terms at shift
+12 leave the truncated tail below 1e-16 relative, so the dominant error is
+the accumulated rounding of the shift sums (worst observed: ~2e-15 on a log
+grid over [1e-3, 1e4]).  The public wrappers validate the domain.
 """
 
 import math
 
-from ._accel import HAVE_NUMBA, USE_NUMBA, njit
 from .errors import DomainError
 
 # Bernoulli numbers B_2, B_4, ..., B_16
@@ -27,37 +23,6 @@ _B14 = 7.0 / 6.0
 _B16 = -3617.0 / 510.0
 
 _SHIFT = 12.0
-_HALF_LN_2PI = 0.9189385332046727  # ln(2*pi)/2
-
-
-def _lgamma_kernel(x):
-    # shift to z >= _SHIFT via Gamma(x) = Gamma(x+m) / (x (x+1) ... (x+m-1))
-    prod = 1.0
-    z = x
-    while z < _SHIFT:
-        prod *= z
-        z += 1.0
-    zz = 1.0 / (z * z)
-    # sum_{n} B_{2n} / (2n (2n-1) z^{2n-1})
-    s = _B2 / 2.0
-    t = zz
-    s += _B4 / 12.0 * t
-    t *= zz
-    s += _B6 / 30.0 * t
-    t *= zz
-    s += _B8 / 56.0 * t
-    t *= zz
-    s += _B10 / 90.0 * t
-    t *= zz
-    s += _B12 / 132.0 * t
-    t *= zz
-    s += _B14 / 182.0 * t
-    t *= zz
-    s += _B16 / 240.0 * t
-    out = (z - 0.5) * math.log(z) - z + _HALF_LN_2PI + s / z
-    if prod != 1.0:
-        out -= math.log(prod)
-    return out
 
 
 def _digamma_kernel(x):
@@ -168,24 +133,7 @@ def _pentagamma_kernel(x):
     return 2.0 * zz / z + 3.0 * zz * zz + s + rec
 
 
-if HAVE_NUMBA:
-    _lgamma_nb = njit(cache=True)(_lgamma_kernel)
-    _digamma_nb = njit(cache=True)(_digamma_kernel)
-    _trigamma_nb = njit(cache=True)(_trigamma_kernel)
-    _tetragamma_nb = njit(cache=True)(_tetragamma_kernel)
-    _pentagamma_nb = njit(cache=True)(_pentagamma_kernel)
-
-if USE_NUMBA:
-    _lgamma = _lgamma_nb
-    _psi_impls = (_digamma_nb, _trigamma_nb, _tetragamma_nb, _pentagamma_nb)
-else:
-    _lgamma = _lgamma_kernel
-    _psi_impls = (
-        _digamma_kernel,
-        _trigamma_kernel,
-        _tetragamma_kernel,
-        _pentagamma_kernel,
-    )
+_PSI = (_digamma_kernel, _trigamma_kernel, _tetragamma_kernel, _pentagamma_kernel)
 
 
 def _check_positive(x, name):
@@ -197,34 +145,34 @@ def _check_positive(x, name):
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
-    return _lgamma(_check_positive(x, "x"))
+    return math.lgamma(_check_positive(x, "x"))
 
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a,b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0."""
     a = _check_positive(a, "a")
     b = _check_positive(b, "b")
-    return _lgamma(a) + _lgamma(b) - _lgamma(a + b)
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def polygamma(k: int, x: float) -> float:
     """psi^(k)(x) for k in {0,1,2,3} and x > 0 (k=0 is the digamma)."""
     if k not in (0, 1, 2, 3):
         raise DomainError(f"polygamma order must be in {{0,1,2,3}}, got {k!r}")
-    return _psi_impls[k](_check_positive(x, "x"))
+    return _PSI[k](_check_positive(x, "x"))
 
 
 def digamma(x: float) -> float:
-    return _psi_impls[0](_check_positive(x, "x"))
+    return _digamma_kernel(_check_positive(x, "x"))
 
 
 def trigamma(x: float) -> float:
-    return _psi_impls[1](_check_positive(x, "x"))
+    return _trigamma_kernel(_check_positive(x, "x"))
 
 
 def tetragamma(x: float) -> float:
-    return _psi_impls[2](_check_positive(x, "x"))
+    return _tetragamma_kernel(_check_positive(x, "x"))
 
 
 def pentagamma(x: float) -> float:
-    return _psi_impls[3](_check_positive(x, "x"))
+    return _pentagamma_kernel(_check_positive(x, "x"))

@@ -2,8 +2,8 @@
 
 Each criterion prints `[PASS] criterion N: ...` (or `[FAIL] ...`) with the
 observed worst error and, where capped, the measured runtime.  Timed criteria
-warm the jitted kernels first so the cap measures the computation, not JIT
-compilation.  The Monte Carlo criterion allows one retry per cell with a
+make one untimed call first so the cap measures the computation, not
+first-call costs.  The Monte Carlo criterion allows one retry per cell with a
 pre-declared backup seed: at 4 stderr the per-cell false-failure probability
 is ~6e-5, so a single honest retry drives the suite's false-failure rate
 below 1e-7 while leaving a real bias no place to hide (both seeds would have
