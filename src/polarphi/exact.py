@@ -197,52 +197,13 @@ def _log_moment2(n: int, p: float) -> float:
     )
 
 
-_MOMENT2_VALIDATED = False
-
-
-def _validate_moment2() -> None:
-    """One-time self-test of the Dirichlet second-moment formula.
-
-    The formula is standard but not part of the propagation machinery, so it
-    ships gated: three elementary values, plus the 1-unconditional identity
-    I(B_p^n) = n * m2(n,p) * m2(n,q) checked against the independent
-    moment-recursion route.  Runs once, on first use.
-    """
-    global _MOMENT2_VALIDATED
-    cases = [
-        (1, 1.0, 2.0 / 3.0),  # Int_{-1}^1 x^2
-        (2, 2.0, math.pi / 4.0),  # polar coordinates over the unit disk
-        (3, math.inf, 8.0 / 3.0),  # (2/3) * 2^2 over the cube
-    ]
-    for n, p, want in cases:
-        got = math.exp(_log_moment2(n, p))
-        if abs(got - want) > 1e-12 * want:
-            raise VerificationError(
-                f"second-moment self-test failed at (n={n}, p={p}): "
-                f"got {got!r}, expected {want!r}"
-            )
-    for n, p in ((2, 1.5), (3, 3.0)):
-        q = p / (p - 1.0)
-        ident = n * math.exp(_log_moment2(n, p) + _log_moment2(n, q))
-        cross = phi_via_moments(n, p).cross_integral
-        if abs(ident - cross) > 1e-10 * cross:
-            raise VerificationError(
-                f"second-moment self-test failed at (n={n}, p={p}): "
-                f"n*m2(p)*m2(q) = {ident!r} vs pairing integral {cross!r}"
-            )
-    _MOMENT2_VALIDATED = True
-
-
 def pball_moment2(n: int, p) -> float:
     """Int_{B_p^n} x_1^2 dx = (2/p)^n Gamma(3/p) Gamma(1/p)^{n-1} / Gamma(1+(n+2)/p).
 
-    For p = inf: 2^n / 3.  The formula is validated once per process against
-    elementary values and the moment-recursion route before first use.
+    For p = inf: 2^n / 3.
     """
     n = _check_dim(n)
     p = _check_p(p)
-    if not _MOMENT2_VALIDATED:
-        _validate_moment2()
     return math.exp(_log_moment2(n, p))
 
 
@@ -367,8 +328,6 @@ def inequality_report(
     """
     n = _check_dim(n)
     pair = dual_exponent(p)
-    if not _MOMENT2_VALIDATED:
-        _validate_moment2()
     lv = _log_volume(n, pair.p)
     lw = _log_volume(n, pair.q)
     lm2 = _log_moment2(n, pair.p)

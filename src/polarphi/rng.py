@@ -6,16 +6,16 @@ across workers.  Slots separate the independent draws a single sample needs
 (one per coordinate, plus signs, plus the radial exponential); the counter
 advances within a slot for rejection-style retries.
 
-The functions operate on uint64 arrays.  Multiplication wraps modulo 2^64
-by design; numpy warns on that overflow, so the public entry points run
-under one errstate guard.
+The functions operate on uint64 arrays, whose arithmetic wraps modulo 2^64
+as splitmix64 requires, so no masking is needed.  numpy warns on that
+overflow for scalars, so the public entry points run under one errstate
+guard.
 """
 
 import numpy as np
 
 from .errors import DomainError
 
-MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 GOLD = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -24,10 +24,18 @@ _INV53 = 1.0 / 9007199254740992.0  # 2^-53
 
 
 def _fin(z):
-    z = (z + GOLD) & MASK
-    z = ((z ^ (z >> np.uint64(30))) * _M1) & MASK
-    z = ((z ^ (z >> np.uint64(27))) * _M2) & MASK
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer of z + GOLD.
+
+    The sum is a fresh array, so the shift-xor and multiply steps run in
+    place on it and z itself is never modified.
+    """
+    z = z + GOLD
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def sample_bases_v(seed, indices):
@@ -36,8 +44,8 @@ def sample_bases_v(seed, indices):
     The seed is finalized twice so that close seeds decorrelate.
     """
     with np.errstate(over="ignore"):
-        seed_arr = np.full(indices.shape, np.uint64(seed), dtype=np.uint64)
-        return _fin((_fin(seed_arr) + GOLD * indices.astype(np.uint64)) & MASK)
+        key = _fin(np.uint64(seed))
+        return _fin(key + GOLD * indices.astype(np.uint64, copy=False))
 
 
 def u01_v(bases, slot, k):
@@ -49,9 +57,12 @@ def u01_v(bases, slot, k):
     with np.errstate(over="ignore"):
         slot = np.asarray(slot, dtype=np.uint64)
         k = np.asarray(k, dtype=np.uint64)
-        off = GOLD * (slot * _SLOT_STRIDE + k)
-        v = _fin((bases + off) & MASK)
-        return ((v >> np.uint64(11)).astype(np.float64) + 0.5) * _INV53
+        v = _fin(bases + GOLD * (slot * _SLOT_STRIDE + k))
+        v >>= np.uint64(11)
+        u = v.astype(np.float64)
+        u += 0.5
+        u *= _INV53
+        return u
 
 
 def parse_seed(text) -> int:

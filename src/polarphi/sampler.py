@@ -30,9 +30,12 @@ the acceptance rate stays below 1e-6 after two million candidates the
 envelope is declared unusable and an EnvelopeError explains why.
 
 The p-ball kernel is vectorized over samples: each coordinate runs its GS
-rounds on every sample at once and masks the lanes already accepted.  A
-lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
-other lanes do, so each sample stays a function of (seed, index) alone.
+rounds on the lanes (one sample's draw for that coordinate) still rejecting,
+compacting the accepted ones out after every round, so uniforms are drawn
+only where they are used.  Each branch of a round is evaluated only on the
+lanes it applies to.  A lane's round k reads counters (2k, 2k + 1) of its
+own slot whatever the other lanes do, so each sample stays a function of
+(seed, index) alone.
 """
 
 import math
@@ -80,30 +83,32 @@ def _sample_pball_indices(n, p, seed, indices):
             gs[:, j] = g
             mags[:, j] = g
             continue
-        active = np.ones(m, dtype=bool)
+        act = np.arange(m)  # rows still rejecting in this coordinate
         k = 0
-        while np.any(active):
-            u1 = u01_v(bases, j, k)
-            u2 = u01_v(bases, j, k + 1)
+        while act.size:
+            lane_bases = bases[act]
+            q = b * u01_v(lane_bases, j, k)
+            u2 = u01_v(lane_bases, j, k + 1)
             k += 2
-            q = b * u1
-            small = q <= 1.0
-            g_small = q**p
-            ratio = np.where(small, 1.0 / _E, (b - q) * p)
-            g_big = -np.log(ratio)
-            acc = np.where(
-                small,
-                u2 <= np.exp(-g_small),
-                u2 <= np.exp((a - 1.0) * np.log(g_big)),
-            )
-            take = active & acc
-            ts = take & small
-            tb = take & ~small
-            gs[ts, j] = g_small[ts]
-            mags[ts, j] = q[ts]
-            gs[tb, j] = g_big[tb]
-            mags[tb, j] = np.exp(a * np.log(g_big[tb]))
-            active &= ~acc
+            acc = np.empty(act.size, dtype=bool)
+            small = np.nonzero(q <= 1.0)[0]
+            big = np.nonzero(q > 1.0)[0]
+            # small branch: g = q^p, magnitude q exactly (no p-th root underflow)
+            g_small = q[small] ** p
+            ok = u2[small] <= np.exp(-g_small)
+            acc[small] = ok
+            rows = act[small[ok]]
+            gs[rows, j] = g_small[ok]
+            mags[rows, j] = q[small[ok]]
+            # big branch: g = -log((b - q) / a)
+            g_big = -np.log((b - q[big]) * p)
+            log_g = np.log(g_big)
+            ok = u2[big] <= np.exp((a - 1.0) * log_g)
+            acc[big] = ok
+            rows = act[big[ok]]
+            gs[rows, j] = g_big[ok]
+            mags[rows, j] = np.exp(a * log_g[ok])
+            act = act[~acc]
     e = -np.log(u01_v(bases, n + 1, 0))
     s = gs.sum(axis=1) + e
     denom = s**a

@@ -100,6 +100,24 @@ def test_moment2_examples():
     assert abs(pball_moment2(3, math.inf) - 8.0 / 3.0) <= 1e-13 * 3.0
 
 
+def test_moment2_formula_against_elementary_values_and_moment_route():
+    # the Dirichlet second-moment formula against elementary integrals ...
+    cases = [
+        (1, 1.0, 2.0 / 3.0),  # Int_{-1}^1 x^2
+        (2, 2.0, math.pi / 4.0),  # polar coordinates over the unit disk
+        (3, math.inf, 8.0 / 3.0),  # (2/3) * 2^2 over the cube
+    ]
+    for n, p, want in cases:
+        assert abs(pball_moment2(n, p) - want) <= 1e-12 * want, (n, p)
+    # ... and the 1-unconditional identity I(B_p^n) = n * m2(n, p) * m2(n, q)
+    # against the independent moment-recursion route
+    for n, p in ((2, 1.5), (3, 3.0)):
+        q = p / (p - 1.0)
+        ident = n * pball_moment2(n, p) * pball_moment2(n, q)
+        cross = phi_via_moments(n, p).cross_integral
+        assert abs(ident - cross) <= 1e-10 * cross, (n, p)
+
+
 def test_moment_route_matches_recursion():
     for n in range(2, 21):
         for p in (1.25, 1.5, 3.0, 8.0):

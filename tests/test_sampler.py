@@ -7,9 +7,11 @@ Distributional oracles (independent closed forms):
   * estimates for p-balls must bracket the closed-form phi within 4 stderr.
 
 Structural contracts: counter-based determinism (prefix invariance, exact
-repeatability), membership of every sample, the vectorized p-ball kernel
-agreeing to roundoff with a one-sample-at-a-time reference, and the
-rejection envelope failing loudly when acceptance collapses.
+repeatability, rows that follow their sample indices under permutation and
+gaps, Monte Carlo and RNG bits pinned to recorded values), membership of
+every sample, the vectorized p-ball kernel agreeing to roundoff with a
+one-sample-at-a-time reference, and the rejection envelope failing loudly
+when acceptance collapses.
 """
 
 import math
@@ -32,19 +34,23 @@ from polarphi.bodies import (
 )
 from polarphi.errors import DomainError, EnvelopeError
 from polarphi.exact import phi_pball
-from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, MASK, _fin, parse_seed
+from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
     MCEstimate,
     _sample_pball_indices,
     estimate_phi,
+    sample_bases_v,
     sample_body,
     sample_pball,
+    u01_v,
 )
 
 CELLS = ((2, 1.0), (2, 2.0), (3, 1.5), (4, 3.0), (3, math.inf))
 
 
 # ---- scalar reference: one sample, one coordinate, one GS round at a time ----
+
+MASK = np.uint64(0xFFFFFFFFFFFFFFFF)  # explicit 64-bit wraparound, as in splitmix64
 
 
 def _sample_base(seed, i):
@@ -117,6 +123,67 @@ def test_prefix_invariance():
     assert np.array_equal(big[:500], small)
     off = sample_pball(4, 3.0, 100, 1234, index_offset=500)
     assert np.array_equal(big[500:600], off)
+
+
+def test_lane_bookkeeping_follows_rows():
+    # each row is a function of its own sample index, whatever order or gaps
+    # the index array has: permuting the indices permutes the rows
+    perm = np.random.default_rng(2024).permutation(3000)
+    idx = np.arange(3000, dtype=np.uint64)
+    run = np.arange(10**6, 10**6 + 9000, dtype=np.uint64)
+    for p in (1.25, 3.0, 50.0):
+        ref = _sample_pball_indices(4, p, 606, idx)
+        assert np.array_equal(_sample_pball_indices(4, p, 606, idx[perm]), ref[perm]), p
+        # a non-contiguous index set: every third index from 10^6
+        every_third = _sample_pball_indices(4, p, 606, run[::3])
+        assert np.array_equal(every_third, _sample_pball_indices(4, p, 606, run)[::3]), p
+
+
+# float.hex of (estimate, stderr) for estimate_phi(PBall(n, p), 20_000, 2024),
+# recorded with the full-width GS kernel: a sampler rewrite that keeps the
+# counter layout must reproduce them bit for bit
+PINNED_MC = {
+    (5, 3.0): ("0x1.9a5467ef640b6p-4", "0x1.d08fb577d3e3fp-11"),
+    (10, 1.25): ("0x1.0ba1022197cd3p-4", "0x1.36ebf0a826cf6p-11"),
+    (3, 1.5): ("0x1.e6b14d8e898a4p-4", "0x1.109e38db4be5bp-10"),
+}
+
+
+def test_monte_carlo_bits_pinned():
+    for (n, p), (est_hex, err_hex) in PINNED_MC.items():
+        est = estimate_phi(PBall(n, p), 20_000, 2024)
+        assert (est.estimate.hex(), est.stderr.hex()) == (est_hex, err_hex), (n, p)
+
+
+def test_rng_pinned_values_and_inputs_untouched():
+    indices = np.arange(4, dtype=np.uint64)
+    bases = sample_bases_v(7, indices)
+    assert np.array_equal(indices, np.arange(4, dtype=np.uint64))
+    assert [hex(int(v)) for v in bases] == [
+        "0xb8b4c2977eabce45", "0xa65305fd338ec8fe", "0x8ca3cbb6ca63129b", "0x9aaf21d8296e1e3d",
+    ]
+    kept = bases.copy()
+    slots = np.arange(4, dtype=np.uint64)
+    ks = np.arange(4, dtype=np.uint64)
+    # scalar slot and counter
+    assert [v.hex() for v in u01_v(bases, 3, 5)] == [
+        "0x1.f1775dc0375d6p-3", "0x1.466f6b88e86b0p-1", "0x1.dfdc63a5a8af0p-1", "0x1.8d6a75cb15a0ap-1",
+    ]
+    # a scalar stream key
+    assert float(u01_v(bases[2], 0, 0)).hex() == "0x1.aff09cf6eb381p-2"
+    # array slot and counter, elementwise and broadcast
+    assert [v.hex() for v in u01_v(bases, slots, ks)] == [
+        "0x1.38028f22c378cp-1", "0x1.8c38d7e80cfa5p-2", "0x1.8b48abcf4a3c5p-2", "0x1.190b5c6f8af53p-2",
+    ]
+    grid = u01_v(bases[:, None], 1, ks[None, :2])
+    assert grid.shape == (4, 2)
+    assert [v.hex() for v in grid.ravel()] == [
+        "0x1.2ab709ebf4b9ep-1", "0x1.66ae4118b1601p-2", "0x1.fd4e6f7984d58p-1", "0x1.8c38d7e80cfa5p-2",
+        "0x1.3712986379c96p-1", "0x1.68a8ea948a887p-2", "0x1.492fe312a6071p-2", "0x1.ff04e0f5739fep-3",
+    ]
+    assert np.array_equal(bases, kept)
+    assert np.array_equal(slots, np.arange(4, dtype=np.uint64))
+    assert np.array_equal(ks, np.arange(4, dtype=np.uint64))
 
 
 def test_seed_sensitivity():
