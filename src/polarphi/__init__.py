@@ -4,8 +4,8 @@ For a symmetric convex body K with polar K deg, the library evaluates
 
     phi(K) = (1 / (|K| |K deg|)) Int_K Int_{K deg} <x, y>^2 dx dy
 
-by three independent routes -- a closed-form recursion for p-balls, 1-D
-quadrature for bodies of revolution, and Monte Carlo for anything with a
+by three independent routes -- a closed-form recursion for p-balls, exact
+1-D moments for bodies of revolution, and Monte Carlo for anything with a
 membership oracle -- and verifies the decomposition theorem, monotonicity
 chain, and volume-product inequalities behind it numerically.
 

@@ -19,7 +19,7 @@ as inside; no tolerance).  The polar of every variant resolves structurally:
     (B_p^n) deg = B_q^n            (dual exponent)
     (A x_p B) deg = A deg x_q B deg
     (T K) deg = T^{-T} K deg
-    revolution deg = revolution with the envelope polar profile
+    revolution deg = revolution with the polar profile (dual exponent or grid)
     simplex deg = the simplex scaled by -n (vertices -n v_i)
 
 so polar membership is primal membership in the resolved body.  The regular
@@ -339,24 +339,14 @@ def _combine_p(gl: np.ndarray, gr: np.ndarray, p: float) -> np.ndarray:
 
 
 def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
-    """Bisection on the scaling: feasible(l) <=> |y|/l <= r1(t/l), monotone in l.
-
-    Bracket: l = |t| + |y| is always feasible (concavity gives r1(u) >= 1-|u|),
-    l = 0 is not (except at the origin).
-    """
-    t = pts[:, 0]
+    """Named profiles: the l_P combination of |t| and |y|; grids: the support
+    function of the polar section, max_i (|t| |s_i| + |y| r_i) over its knots."""
+    t = np.abs(pts[:, 0])
     rho = np.linalg.norm(pts[:, 1:], axis=1)
-    hi = np.abs(t) + rho
-    lo = np.zeros_like(hi)
-    origin = hi == 0.0
-    hi_safe = np.where(origin, 1.0, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi_safe)
-        r = spec.profile.values(t / mid)
-        feasible = rho <= r * mid
-        hi_safe = np.where(feasible, mid, hi_safe)
-        lo = np.where(feasible, lo, mid)
-    return np.where(origin, 0.0, hi_safe)
+    if spec.profile.kind != "grid":
+        return _combine_p(t, rho, spec.profile.exponent)
+    knots = polar_profile(spec.profile).knots
+    return (t[:, None] * np.abs(knots[:, 0]) + rho[:, None] * knots[:, 1]).max(axis=1)
 
 
 def gauge_batch(spec, pts: np.ndarray) -> np.ndarray:
@@ -421,7 +411,7 @@ def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != body.dim:
         raise DomainError(f"points must be (m, {body.dim}), got shape {pts.shape}")
     if isinstance(body, Revolution):
-        # direct section test: cheaper and exact, no gauge bisection
+        # direct section test: cheaper than the gauge, and exact
         t = pts[:, 0]
         rho = np.linalg.norm(pts[:, 1:], axis=1)
         inside_axis = np.abs(t) <= 1.0
@@ -457,18 +447,10 @@ def _radius(body) -> float:
         return math.hypot(_radius(body.left), _radius(body.right))
     if isinstance(body, Revolution):
         prof = body.profile
-        if prof.kind == "ball":
-            return 1.0
-        if prof.kind == "cone":
-            return 1.0
-        if prof.kind == "cylinder":
-            return math.sqrt(2.0)
-        if prof.kind == "pball":
-            return max(1.0, 2.0 ** (0.5 - 1.0 / prof.param))
         if prof.kind == "grid":
             k = prof.knots
             return float(np.sqrt(k[:, 0] ** 2 + k[:, 1] ** 2).max())
-        return math.sqrt(2.0)  # polar wrapper: r2 <= 1, so sqrt(1 + 1) covers it
+        return max(1.0, 2.0 ** (0.5 - 1.0 / prof.exponent))
     if isinstance(body, LinearImage):
         return body.op_norm * _radius(body.inner)
     if isinstance(body, Simplex):

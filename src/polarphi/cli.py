@@ -14,7 +14,7 @@ carry identical numeric values (floats are printed with 17 significant
 digits, which round-trips float64 exactly).  Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input,
-3 non-convergence (quadrature budget or rejection envelope).  Errors print a
+3 non-convergence (the rejection sampler's envelope).  Errors print a
 single machine-parsable line `error: <reason>: <detail>` on stderr.
 """
 
@@ -323,7 +323,7 @@ def _cmd_revolution(args):
         raise DomainError(f"revolution bodies need dim >= 2, got {dim}")
     spec = args.profile.strip()
     profile = parse_profile(json.loads(spec) if spec.startswith("{") else spec)
-    report = decomposition_report(profile, dim, abs_tol=args.tol_quad)
+    report = decomposition_report(profile, dim)
     prof_json = profile_to_json(profile)
     rec = {
         "dim": dim,
@@ -404,7 +404,6 @@ def build_parser() -> _Parser:
     rev.add_argument("--profile", required=True, help='ball|cylinder|cone|pball:P|{"grid": ...}')
     rev.add_argument("--dim", type=int, required=True)
     rev.add_argument("--diagnostics", action="store_true")
-    rev.add_argument("--tol-quad", type=float, default=1e-11, dest="tol_quad")
     rev.set_defaults(func=_cmd_revolution)
 
     return parser

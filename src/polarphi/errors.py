@@ -1,7 +1,7 @@
 """Exception hierarchy, mapped onto CLI exit codes by :mod:`polarphi.cli`.
 
 DomainError       -> exit 2 (invalid input)
-ConvergenceError  -> exit 3 (a numerical routine missed its tolerance)
+ConvergenceError  -> exit 3 (the rejection sampler's envelope collapsed)
 VerificationError -> exit 1 (a mathematical invariant that must hold failed)
 """
 

@@ -1,13 +1,9 @@
-"""Revolution bodies: polar profiles, moment quadrature, and the phi split.
+"""Revolution bodies: profiles, their polars, exact moments, and the phi split.
 
 A revolution body K in R^n is described by an even concave radial profile
-r1 on [-1, 1] with r1(0) = 1: K = {(t, y) in R x R^{n-1} : |y|_2 <= r1(t)}.
-Its polar is again a revolution body, with profile
-
-    r2(s) = min over t in [-1, 1], r1(t) > 0, of (1 - t s) / r1(t),
-
-a quasi-convex envelope minimization solved here by golden section.  phi(K)
-then reduces to six one-dimensional moments
+r on [-1, 1] with r(0) = 1: K = {(t, y) in R x R^{n-1} : |y|_2 <= r(t)}.
+Its polar is again a revolution body, and phi(K) reduces to six
+one-dimensional moments
 
     m0 = Int r^{n-1},  m2 = Int t^2 r^{n-1},  m+ = Int r^{n+1}
 
@@ -19,100 +15,64 @@ of the two profiles:
 the first summand being the axis contribution and the second the
 cross-sectional one (the mixed term integrates to zero by symmetry).
 
-Implementation notes.
+Every step is an exact rule; nothing is searched and nothing adapts.
 
-* Golden section runs over u in [0, 1] with t = 1 - u^2, exploiting evenness
-  (for s >= 0 the minimizer has t >= 0).  The substitution is the point:
-  profiles with infinite slope at t = 1 (the ball) give the objective a
-  square-root cusp at an endpoint minimizer, which costs half the bracket
-  accuracy (~1e-7); in u the cusp is linearized and the minimum value comes
-  out to ~1e-13.  The one residual artifact: at |s| = 1 exactly, 1 - u*u
-  rounds to 1.0 for u below ~1.5e-8, flooring r2(1) at ~7e-9 instead of 0
-  for such profiles.  Harmless everywhere (the moment integrands vanish
-  there), visible only in sup-norm comparisons against closed forms.
+* Named profiles are x_P products.  "pball:P" is [-1, 1] x_P B_2^{n-1},
+  with r(t) = (1 - |t|^P)^{1/P}; "ball", "cone" and "cylinder" are the cases
+  P = 2, 1 and inf.  The polar of [-1, 1] x_P B_2^{n-1} is
+  [-1, 1] x_Q B_2^{n-1} with 1/P + 1/Q = 1, so the polar of a named profile
+  is the named profile with the dual exponent.  Its moments are Beta
+  functions (substitute u = |t|^P):
 
-* 64 iterations shrink the bracket to 2 * 0.618^64 ~ 8e-14 < 1e-12.
+      m0 = (2/P) B(1/P, (n-1)/P + 1),  m2 = (2/P) B(3/P, (n-1)/P + 1),
+      m+ = (2/P) B(1/P, (n+1)/P + 1),  and (2, 2/3, 2) at P = inf.
 
-* Moments use adaptive Gauss-Kronrod (G7, K15) bisection to absolute
-  tolerance 1e-11 per moment, with initial splits at t = 0 and at grid knots
-  (cone-type profiles have corners exactly there).  One profile evaluation
-  per node serves all three integrands.
+* Grid polars are grids.  The section {|y| <= r(t)} is a polygon.  Each edge
+  of its upper boundary lies on a line a t + b y = 1, and (a, b) is a vertex
+  of the polar section; a flat end, r(+-1) > 0, is the edge t = +-1 and adds
+  the vertex (+-1, 0).  Knots that are not strict corners (collinear primal
+  edges give equal knots) are merged, so the polar is an ordinary grid
+  profile, and the polar of the polar is the profile without such knots.
 
-* Profile evaluators are vectorized over nodes: golden section runs on all
-  nodes at once, one bracket per node.
+* Grid moments are exact.  On each linear segment the three integrands are
+  polynomials of degree <= n + 1, which Gauss-Legendre with ceil((n + 2)/2)
+  nodes per segment integrates exactly up to rounding.
 """
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, VerificationError
-from .exact import phi_pball
+from .errors import DomainError, VerificationError
+from .exact import dual_exponent, phi_pball
+from .specfun import log_beta
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INVPHI2 = 1.0 - _INVPHI
-_GOLDEN_ITERS = 64
-_BIG = 1e300
-
-_KIND_CODES = {"ball": 0, "cylinder": 1, "cone": 2, "pball": 3, "grid": 4}
-_MAX_POLAR_DEPTH = 2
-
-DEFAULT_ABS_TOL = 1e-11
-DEFAULT_MAX_INTERVALS = 4000
-
-_EMPTY = np.empty(0, dtype=np.float64)
+_NAMED_EXPONENT = {"ball": 2.0, "cone": 1.0, "cylinder": math.inf}
+_NAMED_POLAR = {"ball": "ball", "cone": "cylinder", "cylinder": "cone"}
 
 
 @dataclass(frozen=True)
 class RevolutionProfile:
     """Even concave radial profile on [-1, 1] with r(0) = 1.
 
-    kind is one of the named analytic profiles ("ball", "cylinder", "cone",
-    "pball" with exponent param >= 1), "grid" for a validated piecewise-linear
-    profile (knots = (k, 2) array of (t, r) pairs), or "polar" wrapping an
-    inner profile with the envelope minimization.
+    kind is "grid" for a validated piecewise-linear profile (knots = (k, 2)
+    array of (t, r) pairs), or one of the named x_P profiles "ball", "cone",
+    "cylinder" and "pball" (exponent param >= 1).
     """
 
     kind: str
     param: float = 0.0
     knots: object = None
-    inner: object = None
 
     @property
-    def depth(self) -> int:
-        d, p = 0, self
-        while p.kind == "polar":
-            d += 1
-            p = p.inner
-        return d
-
-    def _base(self) -> "RevolutionProfile":
-        p = self
-        while p.kind == "polar":
-            p = p.inner
-        return p
-
-    def _data(self):
-        base = self._base()
-        if base.kind == "grid":
-            return (
-                _KIND_CODES["grid"],
-                0.0,
-                base.knots[:, 0].copy(),
-                base.knots[:, 1].copy(),
-            )
-        return (_KIND_CODES[base.kind], float(base.param), _EMPTY, _EMPTY)
+    def exponent(self) -> float:
+        """P of a named profile, which is [-1, 1] x_P B_2^{n-1}."""
+        return _NAMED_EXPONENT.get(self.kind, self.param)
 
     def values(self, t) -> np.ndarray:
         """Profile values at the given axis coordinates."""
-        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-        kind, param, kt, kr = self._data()
-        return _NP_EVAL[self.depth](kind, param, kt, kr, t)
-
-    def value(self, t: float) -> float:
-        return float(self.values(np.array([t], dtype=np.float64))[0])
+        return _NP_EVAL(self, np.atleast_1d(np.asarray(t, dtype=np.float64)))
 
 
 @dataclass
@@ -137,61 +97,15 @@ class RevolutionReport:
     extras: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# profile evaluation kernels
-# ---------------------------------------------------------------------------
-
-
-def _r_base_np(kind, param, kt, kr, t):
-    at = np.abs(t)
-    if kind == 0:
-        return np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    if kind == 1:
-        return np.ones_like(at)
-    if kind == 2:
-        return 1.0 - at
-    if kind == 3:
-        return np.maximum(0.0, 1.0 - at**param) ** (1.0 / param)
-    return np.interp(t, kt, kr)
-
-
-def _polar_np_factory(inner):
-    def ev(kind, param, kt, kr, s):
-        s = np.abs(s)
-        a = np.zeros(s.shape)
-        b = np.ones(s.shape)
-
-        def obj(u):
-            t = 1.0 - u * u
-            r = inner(kind, param, kt, kr, t)
-            safe = np.where(r > 0.0, r, 1.0)
-            return np.where(r > 0.0, (1.0 - t * s) / safe, _BIG)
-
-        c = a + _INVPHI2 * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc = obj(c)
-        fd = obj(d)
-        for _ in range(_GOLDEN_ITERS):
-            left = fc < fd
-            b = np.where(left, d, b)
-            a = np.where(left, a, c)
-            c_old, fc_old, fd_old = c, fc, fd
-            c = np.where(left, a + _INVPHI2 * (b - a), d)
-            d = np.where(left, c_old, a + _INVPHI * (b - a))
-            oc = obj(c)
-            od = obj(d)
-            fc = np.where(left, oc, fd_old)
-            fd = np.where(left, fc_old, od)
-        return np.minimum(fc, fd)
-
-    return ev
-
-
-_NP_EVAL = (
-    _r_base_np,
-    _polar_np_factory(_r_base_np),
-    _polar_np_factory(_polar_np_factory(_r_base_np)),
-)
+# The one profile evaluator.  Its name is the hook of the per-layer trace
+# (perfbench/spans.py), which counts the points it evaluates.
+def _NP_EVAL(profile, t):
+    if profile.kind == "grid":
+        return np.interp(t, profile.knots[:, 0], profile.knots[:, 1])
+    P = profile.exponent
+    if math.isinf(P):
+        return np.ones_like(t)
+    return np.maximum(0.0, 1.0 - np.abs(t) ** P) ** (1.0 / P)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +155,7 @@ def parse_profile(value) -> RevolutionProfile:
     """Profile from its description: a named string, "pball:P", or {"grid": ...}."""
     if isinstance(value, str):
         name = value.strip()
-        if name in ("ball", "cylinder", "cone"):
+        if name in _NAMED_EXPONENT:
             return RevolutionProfile(kind=name)
         if name.startswith("pball:"):
             try:
@@ -260,131 +174,102 @@ def parse_profile(value) -> RevolutionProfile:
 
 
 def profile_to_json(profile: RevolutionProfile):
-    """Canonical description of a parseable profile (polar wrappers have none)."""
-    if profile.kind in ("ball", "cylinder", "cone"):
-        return profile.kind
-    if profile.kind == "pball":
-        return f"pball:{profile.param!r}"
+    """Canonical description of a profile; parse_profile reads it back."""
     if profile.kind == "grid":
         return {"grid": [[float(a), float(b)] for a, b in profile.knots]}
-    raise DomainError("polar-wrapped profiles have no serialized form")
+    if profile.kind == "pball":
+        return f"pball:{profile.param!r}"
+    return profile.kind
+
+
+def _polar_knots(knots: np.ndarray) -> np.ndarray:
+    """Knots of the polar grid: one per edge line a t + b y = 1 of the section."""
+    t, r = knots[:, 0], knots[:, 1]
+    dt, dr = np.diff(t), np.diff(r)
+    det = t[:-1] * dr - r[:-1] * dt  # nonzero: every edge line misses 0
+    verts = np.stack([dr / det, -dt / det], axis=1)
+    if r[0] > 0.0:
+        verts = np.vstack([[-1.0, 0.0], verts])
+    if r[-1] > 0.0:
+        verts = np.vstack([verts, [1.0, 0.0]])
+    hull = []
+    for s, b in verts + 0.0:  # + 0.0 turns -0.0 into 0.0
+        if hull and abs(s - hull[-1][0]) + abs(b - hull[-1][1]) <= 1e-12:
+            continue  # equal knots, from collinear edges, up to rounding
+        while len(hull) > 1:
+            (s0, b0), (s1, b1) = hull[-2:]
+            if (s1 - s0) * (b - b0) < (b1 - b0) * (s - s0):
+                break  # the boundary turns clockwise at hull[-1]: a corner
+            hull.pop()
+        hull.append((s, b))
+    polar = np.array(hull)
+    polar[-1, 0] = 1.0  # s = 1 up to rounding, or an equal knot was kept
+    return polar
 
 
 def polar_profile(profile: RevolutionProfile) -> RevolutionProfile:
-    """The polar body's profile, as an envelope-minimization evaluator.
-
-    Always computed numerically, even for named profiles whose polars have
-    closed forms -- those serve as test oracles for this very routine.
-    """
+    """The polar body's profile: the dual named profile, or the polar grid."""
     if not isinstance(profile, RevolutionProfile):
         raise DomainError("polar_profile expects a RevolutionProfile")
-    if profile.depth >= _MAX_POLAR_DEPTH:
-        raise DomainError(
-            "polar nesting is supported up to depth 2 (polar of polar)"
-        )
-    return RevolutionProfile(kind="polar", inner=profile)
+    if profile.kind == "grid":
+        return RevolutionProfile(kind="grid", knots=_polar_knots(profile.knots))
+    if profile.kind in _NAMED_POLAR:
+        return RevolutionProfile(kind=_NAMED_POLAR[profile.kind])
+    q = dual_exponent(profile.param).q
+    if math.isinf(q):
+        return RevolutionProfile(kind="cylinder")
+    return RevolutionProfile(kind="pball", param=q)
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod moments
+# exact moments
 # ---------------------------------------------------------------------------
 
-_XGK = np.array(
-    [
-        0.991455371120813,
-        0.949107912342759,
-        0.864864423359769,
-        0.741531185599394,
-        0.586087235467691,
-        0.405845151377397,
-        0.207784955007898,
-    ]
-)
-_WGK = np.array(
-    [
-        0.022935322010529,
-        0.063092092629979,
-        0.104790010322250,
-        0.140653259715525,
-        0.169004726639267,
-        0.190350578064785,
-        0.204432940075298,
-    ]
-)
-_WGK0 = 0.209482141084728
-_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119])
-_WG0 = 0.417959183673469
 
-_NODES = np.concatenate([-_XGK, [0.0], _XGK[::-1]])
-_WK15 = np.concatenate([_WGK, [_WGK0], _WGK[::-1]])
-_WG7 = np.zeros(15)
-_WG7[1:7:2] = _WG
-_WG7[7] = _WG0
-_WG7[9:15:2] = _WG[::-1]
+def _gauss_legendre(m: int):
+    """Nodes and weights of the m-point Gauss-Legendre rule on [-1, 1].
+
+    Newton steps on P_m (three-term recurrence) from the asymptotic guess
+    cos(pi (i + 3/4) / (m + 1/2)), which is within O(1/m^2) of the roots, so
+    eight quadratically converging steps reach full precision.  An
+    eigen-solver would give the same rule, but its first call sets up about
+    7 MB of LAPACK workspace.
+    """
+    x = np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, m + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = m * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-def _initial_cuts(profile: RevolutionProfile) -> np.ndarray:
-    cuts = {-1.0, 0.0, 1.0}
-    base = profile._base()
-    if base.kind == "grid" and profile.depth == 0:
-        cuts.update(float(t) for t in base.knots[:, 0])
-    return np.array(sorted(cuts))
-
-
-def profile_integrals(
-    profile: RevolutionProfile,
-    n: int,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
-):
+def profile_integrals(profile: RevolutionProfile, n: int):
     """(m0, m2, m+) = (Int r^{n-1}, Int t^2 r^{n-1}, Int r^{n+1}) over [-1, 1].
 
-    Adaptive G7/K15 bisection, each moment to absolute tolerance abs_tol.
-    One profile evaluation per node feeds all three integrands.  Raises
-    ConvergenceError (with the achieved error) if the interval budget runs
-    out before the tolerance is met.
+    Beta functions for named profiles; for grids, Gauss-Legendre on each
+    linear segment with enough nodes to be exact for degree n + 1.
     """
     if n < 2:
         raise DomainError(f"revolution bodies need dimension >= 2, got {n}")
-    kind, param, kt, kr = profile._data()
-    batch = _NP_EVAL[profile.depth]
-
-    def gk(lo, hi):
-        mid = 0.5 * (lo + hi)
-        hw = 0.5 * (hi - lo)
-        ts = mid + hw * _NODES
-        r = batch(kind, param, kt, kr, ts)
-        f0 = r ** (n - 1)
-        rows = np.stack([f0, ts * ts * f0, f0 * r * r])
-        resk = hw * (rows @ _WK15)
-        resg = hw * (rows @ _WG7)
-        return resk, np.abs(resk - resg)
-
-    cuts = _initial_cuts(profile)
-    heap = []
-    serial = 0  # tiebreaker: ndarray entries must never be compared
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        resk, err = gk(lo, hi)
-        heapq.heappush(heap, (-err.max(), serial, lo, hi, resk, err))
-        serial += 1
-    while True:
-        total_err = np.sum([item[5] for item in heap], axis=0)
-        if np.all(total_err < abs_tol):
-            break
-        if serial >= max_intervals:
-            raise ConvergenceError(
-                f"moment quadrature stalled: achieved tolerance {total_err.max():.3e} "
-                f"(target {abs_tol:.3e}) after {serial} intervals"
-            )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for a, b in ((lo, mid), (mid, hi)):
-            resk, err = gk(a, b)
-            heapq.heappush(heap, (-err.max(), serial, a, b, resk, err))
-            serial += 1
-    total = np.sum([item[4] for item in heap], axis=0)
-    return float(total[0]), float(total[1]), float(total[2])
+    if profile.kind != "grid":
+        P = profile.exponent
+        if math.isinf(P):
+            return 2.0, 2.0 / 3.0, 2.0
+        c = math.log(2.0 / P)
+        return (
+            math.exp(c + log_beta(1.0 / P, (n - 1) / P + 1.0)),
+            math.exp(c + log_beta(3.0 / P, (n - 1) / P + 1.0)),
+            math.exp(c + log_beta(1.0 / P, (n + 1) / P + 1.0)),
+        )
+    x, w = _gauss_legendre((n + 3) // 2)
+    kt = profile.knots[:, 0]
+    hw = 0.5 * np.diff(kt)[:, None]
+    ts = 0.5 * (kt[:-1] + kt[1:])[:, None] + hw * x
+    r = _NP_EVAL(profile, ts)
+    f0 = (hw * w) * r ** (n - 1)
+    return float(f0.sum()), float((ts * ts * f0).sum()), float((f0 * r * r).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +277,9 @@ def profile_integrals(
 # ---------------------------------------------------------------------------
 
 
-def _build_report(profile, n, abs_tol, max_intervals) -> RevolutionReport:
-    m0_1, m2_1, mp_1 = profile_integrals(
-        profile, n, abs_tol=abs_tol, max_intervals=max_intervals
-    )
-    r2 = polar_profile(profile)
-    m0_2, m2_2, mp_2 = profile_integrals(
-        r2, n, abs_tol=abs_tol, max_intervals=max_intervals
-    )
+def _build_report(profile, n) -> RevolutionReport:
+    m0_1, m2_1, mp_1 = profile_integrals(profile, n)
+    m0_2, m2_2, mp_2 = profile_integrals(polar_profile(profile), n)
     phi_slice = phi_pball(n - 1, 2.0).phi if n >= 2 else 0.0
     first = (m2_1 / m0_1) * (m2_2 / m0_2)
     second = (mp_1 * mp_2) / (m0_1 * m0_2) * phi_slice
@@ -431,37 +311,25 @@ def _build_report(profile, n, abs_tol, max_intervals) -> RevolutionReport:
     if santalo_ratio > 1.0 + 1e-9:
         raise VerificationError(
             f"volume-product ratio {santalo_ratio!r} exceeds 1: "
-            "the polar envelope or the moments are wrong"
+            "the polar profile or the moments are wrong"
         )
     conjecture_cap = n / (n + 2.0) ** 2
     if phi > conjecture_cap + 1e-9:
         raise VerificationError(
             f"phi = {phi!r} exceeds the euclidean-ball value {conjecture_cap!r} "
             f"at dimension {n}: this would contradict the ellipsoid-maximality "
-            "conjecture -- inspect the profile and the quadrature before "
+            "conjecture -- inspect the profile and the moments before "
             "trusting anything downstream"
         )
     return report
 
 
-def phi_revolution(
-    profile: RevolutionProfile,
-    n: int,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
-) -> RevolutionReport:
+def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
     """phi of the revolution body with the given profile in dimension n >= 2."""
-    return _build_report(profile, n, abs_tol, max_intervals)
+    return _build_report(profile, n)
 
 
-def decomposition_report(
-    profile: RevolutionProfile,
-    n: int,
-    *,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_intervals: int = DEFAULT_MAX_INTERVALS,
-) -> RevolutionReport:
+def decomposition_report(profile: RevolutionProfile, n: int) -> RevolutionReport:
     """phi_revolution plus the two-sided section-moment window assertion.
 
     The 1-D marginal of the volume-normalized body along the axis is a
@@ -469,7 +337,7 @@ def decomposition_report(
     so f(0)^2 sigma^2 must land in [1/12, 1/2]; the cube attains the left
     endpoint.  A violation is raised, not reported.
     """
-    report = _build_report(profile, n, abs_tol, max_intervals)
+    report = _build_report(profile, n)
     h = report.hensley_product_sq
     if not (1.0 / 12.0 - 1e-9 <= h <= 0.5 + 1e-9):
         raise VerificationError(

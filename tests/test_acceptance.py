@@ -177,7 +177,7 @@ def test_criterion_7_revolution_suite():
     cyl = abs(pp.phi_revolution(pp.parse_profile("cylinder"), 2).phi - 1.0 / 9.0)
     worst_pball = 0.0
     for P in (1.5, 3.0):
-        for n in (3, 4, 5):
+        for n in (3, 4, 5, 10, 50, 200):
             got = pp.phi_revolution(pp.parse_profile(f"pball:{P}"), n).phi
             oracle = pp.phi_combine(
                 pp.phi_pball(n - 1, 2.0).phi, n - 1, pp.PHI_INTERVAL, 1, P
@@ -201,8 +201,8 @@ def test_criterion_7_revolution_suite():
     ok = (
         ball_worst <= 1e-8
         and cyl <= 1e-10
-        and worst_pball <= 1e-6
-        and worst_inv <= 1e-8
+        and worst_pball <= 1e-12
+        and worst_inv <= 1e-13
         and bounds_ok
         and hensley_ok
     )
@@ -210,8 +210,8 @@ def test_criterion_7_revolution_suite():
         7,
         ok,
         f"ball worst {ball_worst:.2e} (cap 1e-8), cylinder {cyl:.2e} (cap 1e-10), "
-        f"pball vs factor route {worst_pball:.2e} (cap 1e-6), involution sup {worst_inv:.2e} "
-        f"(cap 1e-8), summand bound {bounds_ok}, section-moment window {hensley_ok}",
+        f"pball vs factor route {worst_pball:.2e} (cap 1e-12), involution sup {worst_inv:.2e} "
+        f"(cap 1e-13), summand bound {bounds_ok}, section-moment window {hensley_ok}",
     )
 
 

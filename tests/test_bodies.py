@@ -42,6 +42,9 @@ DOCS = [
     '"right": {"type": "interval"}}',
     '{"type": "revolution", "dim": 3, "profile": "pball:1.5"}',
     '{"type": "revolution", "dim": 2, "profile": {"grid": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]}}',
+    '{"type": "revolution", "dim": 3, "profile": {"grid": '
+    '[[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}}',
+    '{"type": "revolution", "dim": 4, "profile": "cylinder"}',
     '{"type": "linear", "matrix": [[1.0, 1.0], [0.0, 1.0]], '
     '"inner": {"type": "pball", "dim": 2, "p": 2}}',
 ]
@@ -158,6 +161,25 @@ def test_gauge_homogeneity():
         g1 = gauge_batch(body, x)[0]
         g3 = gauge_batch(body, 3.0 * x)[0]
         assert abs(g3 - 3.0 * g1) <= 1e-9 * max(1.0, g1), doc
+
+
+def test_revolution_gauge_boundary_and_homogeneity():
+    # (t, r(t) u) with |u| = 1 is a boundary point: gauge 1, on both sides
+    rng = np.random.default_rng(11)
+    ts = np.linspace(-1.0, 1.0, 41)
+    flat_ends = {"grid": [[-1.0, 0.4], [-0.6, 0.8], [0.0, 1.0], [0.6, 0.8], [1.0, 0.4]]}
+    pointed = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
+    for profile in ("ball", "cone", "cylinder", "pball:1.5", "pball:3", flat_ends, pointed):
+        primal = parse_body({"type": "revolution", "dim": 4, "profile": profile})
+        for body in (primal, polar_body(primal)):
+            u = rng.normal(size=(ts.size, 3))
+            u /= np.linalg.norm(u, axis=1)[:, None]
+            pts = np.column_stack([ts, body.profile.values(ts)[:, None] * u])
+            assert np.abs(gauge_batch(body, pts) - 1.0).max() <= 1e-14, profile
+            x = rng.uniform(-1.5, 1.5, size=(50, 4))
+            lam = rng.uniform(0.1, 10.0, size=50)
+            g = gauge_batch(body, x)
+            assert np.abs(gauge_batch(body, lam[:, None] * x) - lam * g).max() <= 1e-14 * (lam * g).max()
 
 
 def test_simplex_construction():

@@ -155,6 +155,8 @@ def test_revolution_command():
     assert grid.returncode == 0
     assert run_cli("revolution", "--profile", "egg", "--dim", "3").returncode == 2
     assert run_cli("revolution", "--profile", "ball", "--dim", "1").returncode == 2
+    # the moments are exact, so there is no quadrature tolerance to set
+    assert run_cli("revolution", "--profile", "ball", "--dim", "3", "--tol-quad", "1e-9").returncode == 2
 
 
 def test_console_script_installed():

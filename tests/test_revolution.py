@@ -1,4 +1,4 @@
-"""Revolution-body quadrature tests.
+"""Revolution-body tests: named products, grid polars, exact moments.
 
 Closed-form oracles, each derived by direct integration before the
 implementation existed:
@@ -16,6 +16,12 @@ implementation existed:
     route gives an independent value to compare against;
   * section-moment products: cylinder 1/12 (uniform marginal), ball n=3:
     m2/m0^3 = (4/15)/(4/3)^3 = 9/80.
+
+Grid profiles are checked against an independent numeric oracle: the polar
+profile from its definition, r2(s) = min over knots of (1 - t s) / r (the
+ratio is monotone on each linear piece, so the minimum sits at a knot), and
+scipy's adaptive quadrature split at the polar's kinks.  One grid pins a
+value computed with mpmath at 30 digits.
 """
 
 import math
@@ -24,10 +30,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
-from polarphi.errors import ConvergenceError, DomainError
+from polarphi.errors import DomainError
 from polarphi.exact import PHI_INTERVAL, phi_combine, phi_pball
 from polarphi.revolution import (
+    _gauss_legendre,
     decomposition_report,
     parse_profile,
     phi_revolution,
@@ -38,14 +46,35 @@ from polarphi.revolution import (
 
 GRID_201 = np.linspace(-1.0, 1.0, 201)
 
+README_GRID = {"grid": [[-1, 0], [-0.5, 0.75], [0, 1], [0.5, 0.75], [1, 0]]}
+
+_REGRESSION_HALF = [
+    (0.0, 1.0),
+    (0.282978133853839, 0.9295074835600352),
+    (0.43726885875304994, 0.8598083678738764),
+    (0.5560086580056113, 0.8024153163223126),
+    (0.9194558727056631, 0.5928292952287895),
+    (1.0, 0.4497638650855781),
+]
+# a concave grid whose polar has a kink at s = 0.249109, inside the first
+# panel of a quadrature that splits only at {-1, 0, 1}
+REGRESSION_GRID = {
+    "grid": [[-t, r] for t, r in _REGRESSION_HALF[:0:-1]] + [[t, r] for t, r in _REGRESSION_HALF]
+}
+
 
 def test_named_polar_closed_forms():
     ball = parse_profile("ball")
-    assert np.abs(polar_profile(ball).values(GRID_201) - np.sqrt(1.0 - GRID_201**2)).max() <= 1e-8
+    assert np.abs(polar_profile(ball).values(GRID_201) - np.sqrt(1.0 - GRID_201**2)).max() <= 1e-13
     cyl = parse_profile("cylinder")
-    assert np.abs(polar_profile(cyl).values(GRID_201) - (1.0 - np.abs(GRID_201))).max() <= 1e-8
+    assert np.abs(polar_profile(cyl).values(GRID_201) - (1.0 - np.abs(GRID_201))).max() <= 1e-13
     cone = parse_profile("cone")
-    assert np.abs(polar_profile(cone).values(GRID_201) - 1.0).max() <= 1e-8
+    assert np.abs(polar_profile(cone).values(GRID_201) - 1.0).max() <= 1e-13
+    for name, P in (("pball:3", 3.0), ("pball:1.5", 1.5), ("pball:1", 1.0)):
+        Q = math.inf if P == 1.0 else P / (P - 1.0)
+        want = 1.0 if math.isinf(Q) else (1.0 - np.abs(GRID_201) ** Q) ** (1.0 / Q)
+        got = polar_profile(parse_profile(name)).values(GRID_201)
+        assert np.abs(got - want).max() <= 1e-13, name
 
 
 def test_polar_involution_named():
@@ -53,14 +82,14 @@ def test_polar_involution_named():
         prof = parse_profile(name)
         double = polar_profile(polar_profile(prof))
         err = np.abs(double.values(GRID_201) - prof.values(GRID_201)).max()
-        assert err <= 1e-8, (name, err)
+        assert err <= 1e-13, (name, err)
 
 
 def test_profile_values_scalar_batch_agree():
-    for name in ("ball", "cone", "pball:2.5"):
+    for name in ("ball", "cone", "pball:2.5", README_GRID):
         prof = polar_profile(parse_profile(name))
         batch = prof.values(GRID_201)
-        scalars = np.array([prof.value(float(t)) for t in GRID_201])
+        scalars = np.array([prof.values(float(t))[0] for t in GRID_201])
         assert np.abs(batch - scalars).max() <= 1e-14, name
 
 
@@ -89,12 +118,24 @@ def test_cylinder_dim2_is_square():
     assert abs(rep.santalo_ratio - 8.0 / math.pi**2) <= 1e-10
 
 
+NAMED = (
+    ("ball", 2.0),
+    ("cone", 1.0),
+    ("cylinder", math.inf),
+    ("pball:1", 1.0),
+    ("pball:1.5", 1.5),
+    ("pball:3", 3.0),
+    ("pball:7", 7.0),
+)
+
+
 def test_pball_profile_matches_factor_route():
-    for P in (1.5, 3.0):
-        for n in (3, 4, 5):
-            rep = phi_revolution(parse_profile(f"pball:{P}"), n)
+    # every named profile is [-1, 1] x_P B_2^{n-1}
+    for name, P in NAMED:
+        for n in (2, 3, 5, 10, 50, 200):
+            rep = phi_revolution(parse_profile(name), n)
             oracle = phi_combine(phi_pball(n - 1, 2.0).phi, n - 1, PHI_INTERVAL, 1, P)
-            assert abs(rep.phi - oracle) <= 1e-6 * oracle, (P, n)
+            assert abs(rep.phi - oracle) <= 1e-12 * oracle, (name, n)
 
 
 def test_report_invariants():
@@ -146,16 +187,13 @@ def test_grid_validation_rejections():
         parse_profile("egg")
 
 
-def test_polar_depth_cap():
-    prof = parse_profile("cone")
-    double = polar_profile(polar_profile(prof))
-    with pytest.raises(DomainError, match="depth"):
-        polar_profile(double)
-
-
-def test_quadrature_budget_error():
-    with pytest.raises(ConvergenceError, match="achieved"):
-        profile_integrals(parse_profile("ball"), 2, max_intervals=3)
+def test_polar_nesting_is_closed():
+    for desc in ("cone", "pball:3", README_GRID, REGRESSION_GRID):
+        prof = parse_profile(desc)
+        once = polar_profile(prof)
+        thrice = polar_profile(polar_profile(once))
+        err = np.abs(thrice.values(GRID_201) - once.values(GRID_201)).max()
+        assert err <= 1e-13, (desc, err)
 
 
 def test_profile_serialization():
@@ -163,8 +201,18 @@ def test_profile_serialization():
     assert profile_to_json(parse_profile("pball:1.5")) == "pball:1.5"
     grid = {"grid": [[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]}
     assert profile_to_json(parse_profile(grid)) == grid
-    with pytest.raises(DomainError):
-        profile_to_json(polar_profile(parse_profile("ball")))
+    # polars serialize too, and parse back to the same profile
+    assert profile_to_json(polar_profile(parse_profile("ball"))) == "ball"
+    assert profile_to_json(polar_profile(parse_profile("cylinder"))) == "cone"
+    assert profile_to_json(polar_profile(parse_profile("cone"))) == "cylinder"
+    assert profile_to_json(polar_profile(parse_profile("pball:1"))) == "cylinder"
+    assert profile_to_json(polar_profile(parse_profile("pball:3"))) == "pball:1.5"
+    assert profile_to_json(polar_profile(parse_profile(grid))) == {"grid": [[-1.0, 1.0], [1.0, 1.0]]}
+    for desc in (README_GRID, REGRESSION_GRID):
+        polar = polar_profile(parse_profile(desc))
+        text = profile_to_json(polar)
+        assert np.array_equal(parse_profile(text).knots, polar.knots)
+        assert profile_to_json(parse_profile(text)) == text
 
 
 def test_dim_validation():
@@ -199,4 +247,68 @@ def test_polar_involution_random_grids(slopes):
     double = polar_profile(polar_profile(prof))
     ts = np.linspace(-1.0, 1.0, 101)
     err = np.abs(double.values(ts) - prof.values(ts)).max()
-    assert err <= 1e-8, err
+    assert err <= 1e-13, err
+
+
+def test_gauss_legendre_rule_is_exact_to_its_degree():
+    # the m-point rule integrates t^j exactly for j <= 2m - 1, up to rounding
+    for m in (2, 3, 6, 26, 101):
+        x, w = _gauss_legendre(m)
+        for j in range(2 * m):
+            exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+            assert abs(float(np.sum(w * x**j)) - exact) <= 1e-13, (m, j)
+
+
+def test_regression_grid_polar_moment_matches_mpmath():
+    # mpmath at 30 digits, split at every kink of the polar profile
+    m0 = profile_integrals(polar_profile(parse_profile(REGRESSION_GRID)), 50)[0]
+    assert abs(m0 - 0.6255925329444987) <= 1e-12 * 0.6255925329444987, m0
+
+
+def _derandomized_concave_grid(rng):
+    """Even concave grid: k random knots on (0, 1), decreasing slopes, mirrored."""
+    k = int(rng.integers(1, 6))
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.02, 0.98, k)), [1.0]])
+    slopes = -np.sort(rng.uniform(0.0, 1.0, k + 1))
+    end = 0.0 if rng.uniform() < 0.5 else float(rng.uniform(0.05, 0.8))
+    drop = -np.sum(slopes * np.diff(ts))
+    rs = np.concatenate([[1.0], 1.0 + np.cumsum(slopes * np.diff(ts)) * (1.0 - end) / drop])
+    rs[-1] = end
+    half = list(zip(ts.tolist(), rs.tolist()))
+    return {"grid": [[-t, r] for t, r in half[:0:-1]] + [[t, r] for t, r in half]}
+
+
+def _oracle_moments(r, n, points):
+    def moment(f):
+        val, _ = quad(f, -1.0, 1.0, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
+        return val
+
+    return (
+        moment(lambda t: r(t) ** (n - 1)),
+        moment(lambda t: t * t * r(t) ** (n - 1)),
+        moment(lambda t: r(t) ** (n + 1)),
+    )
+
+
+def test_random_grid_moments_match_scipy():
+    rng = np.random.default_rng(20240601)
+    for case in range(20):
+        desc = _derandomized_concave_grid(rng)
+        prof = parse_profile(desc)
+        polar = polar_profile(prof)
+        kt, kr = prof.knots[:, 0], prof.knots[:, 1]
+        pos = kr > 0.0
+
+        def r2(s):
+            # the polar profile by its definition, independent of polar_profile
+            return float(np.min((1.0 - kt[pos] * s) / kr[pos]))
+
+        s = np.linspace(-1.0, 1.0, 401)
+        direct = np.min((1.0 - np.outer(s, kt[pos])) / kr[pos], axis=1)
+        assert np.abs(polar.values(s) - direct).max() <= 1e-13, case
+        for n in (3, 10, 50):
+            got = profile_integrals(prof, n) + profile_integrals(polar, n)
+            want = _oracle_moments(lambda t: float(np.interp(t, kt, kr)), n, kt[1:-1])
+            want += _oracle_moments(r2, n, polar.knots[1:-1, 0])
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-10 * abs(w), (case, n, g, w)

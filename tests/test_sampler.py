@@ -4,7 +4,8 @@ Distributional oracles (independent closed forms):
   * for X uniform in the unit p-ball, the gauge satisfies P(g <= t) = t^n,
     so E[sum_j |X_j|^p] = E[g^p] = n/(n+p) for finite p;
   * coordinates are symmetric: every coordinate mean is 0;
-  * estimates for p-balls must bracket the closed-form phi within 4 stderr.
+  * estimates for p-balls and revolution bodies must bracket the exact phi
+    (closed form, or the exact revolution moments) within 4 stderr.
 
 Structural contracts: counter-based determinism (prefix invariance, exact
 repeatability, rows that follow their sample indices under permutation and
@@ -34,6 +35,7 @@ from polarphi.bodies import (
 )
 from polarphi.errors import DomainError, EnvelopeError
 from polarphi.exact import phi_pball
+from polarphi.revolution import phi_revolution
 from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
     MCEstimate,
@@ -258,6 +260,15 @@ def test_rejection_bodies_members():
             pts = sample_body(body, side, 1500, 55)
             ok = membership_batch(body, side, pts)
             assert ok.all(), (body, side)
+
+
+def test_revolution_estimates_match_exact_phi():
+    grid = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
+    for n, profile in ((5, "cone"), (4, "pball:3"), (3, grid)):
+        body = parse_body({"type": "revolution", "dim": n, "profile": profile})
+        est = estimate_phi(body, 20_000, 2024)
+        ref = phi_revolution(body.profile, n).phi
+        assert abs(est.estimate - ref) <= 4.0 * est.stderr, (profile, est, ref)
 
 
 def test_rejection_acceptance_rate_simplex():
