@@ -5,9 +5,9 @@ For a symmetric convex body K with polar K deg, the library evaluates
     phi(K) = (1 / (|K| |K deg|)) Int_K Int_{K deg} <x, y>^2 dx dy
 
 by three independent routes -- a closed-form recursion for p-balls, exact
-1-D moments for bodies of revolution, and Monte Carlo for anything with a
-membership oracle -- and verifies the decomposition theorem, monotonicity
-chain, and volume-product inequalities behind it numerically.
+1-D moments for bodies of revolution, and Monte Carlo with an exact sampler
+for every body in the grammar -- and verifies the decomposition theorem,
+monotonicity chain, and volume-product inequalities behind it numerically.
 
 The Monte Carlo samplers and the profile evaluators are vectorized over
 samples and quadrature nodes with numpy.
@@ -22,7 +22,6 @@ from .bodies import (
     Product,
     Revolution,
     Simplex,
-    bounding_radius,
     gauge_batch,
     make_linear_image,
     membership,
@@ -31,7 +30,7 @@ from .bodies import (
     polar_body,
     serialize_body,
 )
-from .errors import ConvergenceError, DomainError, EnvelopeError, VerificationError
+from .errors import DomainError, VerificationError
 from .exact import (
     PHI_INTERVAL,
     ExponentPair,
@@ -92,7 +91,6 @@ __all__ = [
     "Revolution",
     "LinearImage",
     "Simplex",
-    "bounding_radius",
     "gauge_batch",
     "make_linear_image",
     "membership",
@@ -100,9 +98,7 @@ __all__ = [
     "parse_body",
     "polar_body",
     "serialize_body",
-    "ConvergenceError",
     "DomainError",
-    "EnvelopeError",
     "VerificationError",
     "PHI_INTERVAL",
     "ExponentPair",

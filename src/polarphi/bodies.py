@@ -1,4 +1,4 @@
-"""Symbolic convex bodies: parsing, membership, gauges, polars, envelopes.
+"""Symbolic convex bodies: parsing, membership, gauges and polars.
 
 A body description is a small JSON document:
 
@@ -423,36 +423,3 @@ def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
 def membership(spec, side: str, point) -> bool:
     point = np.asarray(point, dtype=np.float64).reshape(1, -1)
     return bool(membership_batch(spec, side, point)[0])
-
-
-def bounding_radius(spec, side: str = PRIMAL) -> float:
-    """Radius R with the requested body contained in R * B_2^n.
-
-    Tight for p-balls (max(1, n^{1/2 - 1/p})), simplices (vertex norm 1,
-    polar vertex norm n) and named revolution profiles; an upper bound via
-    factor/operator norms elsewhere.
-    """
-    body = resolve_side(spec, side)
-    return _radius(body)
-
-
-def _radius(body) -> float:
-    if isinstance(body, Interval):
-        return 1.0
-    if isinstance(body, PBall):
-        if math.isinf(body.p):
-            return math.sqrt(body.dim)
-        return max(1.0, float(body.dim) ** (0.5 - 1.0 / body.p))
-    if isinstance(body, Product):
-        return math.hypot(_radius(body.left), _radius(body.right))
-    if isinstance(body, Revolution):
-        prof = body.profile
-        if prof.kind == "grid":
-            k = prof.knots
-            return float(np.sqrt(k[:, 0] ** 2 + k[:, 1] ** 2).max())
-        return max(1.0, 2.0 ** (0.5 - 1.0 / prof.exponent))
-    if isinstance(body, LinearImage):
-        return body.op_norm * _radius(body.inner)
-    if isinstance(body, Simplex):
-        return 1.0
-    raise DomainError(f"not a body spec: {body!r}")

@@ -13,9 +13,9 @@ Reports go to stdout as JSON (default) or CSV (--format csv); both encodings
 carry identical numeric values (floats are printed with 17 significant
 digits, which round-trips float64 exactly).  Diagnostics go to stderr.
 
-Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input,
-3 non-convergence (the rejection sampler's envelope).  Errors print a
-single machine-parsable line `error: <reason>: <detail>` on stderr.
+Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input.
+Errors print a single machine-parsable line `error: <reason>: <detail>` on
+stderr.
 """
 
 import argparse
@@ -25,7 +25,7 @@ import math
 import sys
 
 from .bodies import parse_body, serialize_body
-from .errors import ConvergenceError, DomainError, EnvelopeError, VerificationError
+from .errors import DomainError, VerificationError
 from .exact import (
     dual_exponent,
     f_factor,
@@ -48,10 +48,8 @@ from .sampler import estimate_phi
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
-EXIT_NONCONVERGENCE = 3
 
 DIM_CAP_EXACT = 200
-DIM_CAP_MC = 10
 
 _VERIFY_DIM_PAIRS = ((1, 1), (1, 2), (2, 3), (3, 5), (5, 10))
 _VERIFY_PS_FINITE = (1.25, 1.5, 2.0, 3.0, 8.0)
@@ -153,7 +151,7 @@ def _cmd_phi_mc(args):
         except OSError as exc:
             raise DomainError(f"cannot read body file {args.body!r}: {exc}")
     body = parse_body(text)
-    _check_cap(body.dim, DIM_CAP_MC, "Monte Carlo")
+    _check_cap(body.dim, DIM_CAP_EXACT, "Monte Carlo")
     if args.samples < 2:
         raise DomainError(f"--samples must be >= 2, got {args.samples}")
     seed = parse_seed(args.seed)
@@ -417,12 +415,6 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except EnvelopeError as exc:
-        print(f"error: envelope-failure: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
-    except ConvergenceError as exc:
-        print(f"error: non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except VerificationError as exc:
         print(f"error: violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -183,13 +183,18 @@ def profile_to_json(profile: RevolutionProfile):
 
 
 def _polar_knots(knots: np.ndarray) -> np.ndarray:
-    """Knots of the polar grid: one per edge line a t + b y = 1 of the section."""
-    t, r = knots[:, 0], knots[:, 1]
+    """Knots of the polar grid: one per edge line a t + b y = 1 of the section.
+
+    Only the half t >= 0 is computed, from (0, 1) and the knots with t > 0;
+    the half s <= 0 is its mirror image, so the polar is even and has
+    r(0) = 1 exactly however the input rounds within its tolerances.
+    """
+    half = knots[knots[:, 0] > 0.0]
+    t = np.concatenate([[0.0], half[:, 0]])
+    r = np.concatenate([[1.0], half[:, 1]])
     dt, dr = np.diff(t), np.diff(r)
     det = t[:-1] * dr - r[:-1] * dt  # nonzero: every edge line misses 0
     verts = np.stack([dr / det, -dt / det], axis=1)
-    if r[0] > 0.0:
-        verts = np.vstack([[-1.0, 0.0], verts])
     if r[-1] > 0.0:
         verts = np.vstack([verts, [1.0, 0.0]])
     hull = []
@@ -204,7 +209,10 @@ def _polar_knots(knots: np.ndarray) -> np.ndarray:
         hull.append((s, b))
     polar = np.array(hull)
     polar[-1, 0] = 1.0  # s = 1 up to rounding, or an equal knot was kept
-    return polar
+    if polar[0, 0] <= 0.0:  # a flat top (or r slightly above 1 near 0): one knot (0, 1)
+        polar[0, 0] = 0.0
+        return np.vstack([polar[:0:-1] * [-1.0, 1.0], polar])
+    return np.vstack([polar[::-1] * [-1.0, 1.0], polar])
 
 
 def polar_profile(profile: RevolutionProfile) -> RevolutionProfile:

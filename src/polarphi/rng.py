@@ -3,8 +3,8 @@
 Every variate is a pure function of (seed, sample index, slot, counter), so
 results are bit-identical no matter how samples are batched or distributed
 across workers.  Slots separate the independent draws a single sample needs
-(one per coordinate, plus signs, plus the radial exponential); the counter
-advances within a slot for rejection-style retries.
+(the sampler module documents its slot layout); the counter advances within
+a slot for rejection-style retries.
 
 The functions operate on uint64 arrays, whose arithmetic wraps modulo 2^64
 as splitmix64 requires, so no masking is needed.  numpy warns on that

@@ -9,33 +9,59 @@ honest confidence interval.
 Streams are counter-based (see rng): pair i reads sample index 2i for x and
 2i + 1 for y, and every uniform is a pure function of (seed, sample index,
 slot, counter).  Results are therefore bit-identical however the work is
-batched.  Slot layout per sample in dimension n:
+batched.
 
-    slots 0..n-1   magnitude draws for each coordinate (counter = retries)
-    slot  n        signs (counter = coordinate)
-    slot  n+1      the radial exponential
+Every body type has an exact rule, an array kernel over the sample indices:
 
-p-balls and intervals are sampled directly: |x_j|^p is Gamma(1/p) via the
-Ahrens-Dieter GS rejection sampler (two uniforms per round, valid for shape
-in (0,1)), the magnitude |x_j| is recovered exactly in each GS branch
-(avoiding the p-th power underflow at large p), and the vector is scaled by
-(sum_j |x_j|^p + E)^(-1/p) with E standard exponential.  p = 1 uses a plain
-exponential per coordinate and p = inf is coordinate-wise uniform.
+* p-ball B_p^n: |x_j|^p is Gamma(1/p) via the Ahrens-Dieter GS rejection
+  sampler (two uniforms per round, valid for shape in (0,1)); the magnitude
+  |x_j| is recovered exactly in each GS branch (avoiding the p-th power
+  underflow at large p), and the vector is scaled by (sum_j |x_j|^p + E)^(-1/p)
+  with E standard exponential.  p = 1 uses a plain exponential per
+  coordinate and p = inf is coordinate-wise uniform.  The interval is B_inf^1.
+* simplex: Dirichlet(1, ..., 1) weights from n + 1 exponentials, applied to
+  the vertices (Devroye 1986, ch. V).
+* linear image T K: a draw of K mapped by T (the polar is T^{-T} K deg, so
+  the simplex polar, -n times the simplex, is covered too).
+* A x_p B, p finite: with G_A, G_B sums of n_A, n_B Gamma(1/p) draws and E
+  exponential, S = G_A + G_B + E, the factor A gets (G_A/S)^{1/p} u/g_A(u)
+  for u uniform in A, and likewise B (Barthe, Guedon, Mendelson and Naor,
+  Ann. Probab. 2005, lifted from coordinates to factors).  p = inf makes
+  the factors independent.  A named revolution profile is
+  [-1, 1] x_P B_2^{n-1} and is drawn as that product.
+* grid revolution: rejection from the cylinder [-1, 1] x B_2^{n-1}.  The
+  profile is concave and even with r(0) = 1, so r >= 1 - |t| and each
+  round accepts with probability at least 1/n.
 
-Everything else (products, revolution bodies, linear images, simplices) is
-rejection from the axis-aligned cube of half-width bounding_radius; for the
-simplex in particular this is simple and correct, if not the fastest
-possible scheme, and can be swapped out without touching the estimator.  If
-the acceptance rate stays below 1e-6 after two million candidates the
-envelope is declared unusable and an EnvelopeError explains why.
+Slot layout.  Each node owns a contiguous block of slots, starting at the
+slot its parent hands it; the block sizes depend only on the dimensions
+(see _slot_count).  For a node at slot s in dimension n:
 
-The p-ball kernel is vectorized over samples: each coordinate runs its GS
-rounds on the lanes (one sample's draw for that coordinate) still rejecting,
+    p-ball, interval    s .. s+n-1   coordinate magnitudes: GS round k reads
+                                     counters (2k, 2k + 1); p = 1 and p = inf
+                                     read counter 0
+                        s+n          signs (counter = coordinate)
+                        s+n+1        the radial exponential
+    simplex             s .. s+n     the n + 1 exponentials
+    linear image        the inner body's block
+    A x_p B             A's block, then B's block, then n_A + n_B GS slots
+                        (G_A, then G_B), then one slot for E; p = inf reads
+                        only the two factor blocks
+    named revolution    the block of [-1, 1] x_P B_2^{n-1}
+    grid revolution     s            axis coordinate t
+                        s+1          radius u^{1/(n-1)}
+                        s+2 ..       Box-Muller pairs, two slots per pair
+
+A rejection round k of the grid sampler reads counter k of each of its
+slots, so each sample stays a function of (seed, index) alone.  A p-ball at
+the root keeps the layout it always had, so its bits are unchanged.
+
+The GS kernel is vectorized over samples: each coordinate runs its rounds
+on the lanes (one sample's draw for that coordinate) still rejecting,
 compacting the accepted ones out after every round, so uniforms are drawn
 only where they are used.  Each branch of a round is evaluated only on the
 lanes it applies to.  A lane's round k reads counters (2k, 2k + 1) of its
-own slot whatever the other lanes do, so each sample stays a function of
-(seed, index) alone.
+own slot whatever the other lanes do.
 """
 
 import math
@@ -43,13 +69,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import PRIMAL, Interval, PBall, bounding_radius, membership_batch, polar_body, resolve_side
-from .errors import DomainError, EnvelopeError
+from .bodies import (
+    PRIMAL,
+    Interval,
+    LinearImage,
+    PBall,
+    Product,
+    Simplex,
+    _pnorm_rows,
+    _simplex_vertices,
+    gauge_batch,
+    membership_batch,
+    polar_body,
+    resolve_side,
+)
+from .errors import DomainError
 from .rng import sample_bases_v, u01_v
 
 _E = math.e
-_MIN_ACCEPTANCE = 1e-6
-_ENVELOPE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -61,35 +98,35 @@ class MCEstimate:
 
 
 # ---------------------------------------------------------------------------
-# direct p-ball sampling
+# Gamma(1/p) draws and the p-ball
 # ---------------------------------------------------------------------------
 
 
-def _sample_pball_indices(n, p, seed, indices):
-    """Uniform points in the unit p-ball, one row per sample index."""
-    bases = sample_bases_v(seed, indices)
-    p = float(p)
+def _gamma_gs(bases, p, slot, k):
+    """(g, |g|^(1/p)) as (m, k) arrays: Gamma(1/p) draws on slots slot..slot+k-1.
+
+    p = 1 is one exponential per coordinate; otherwise Ahrens-Dieter GS
+    with lane compaction, returning the exact magnitude from each branch.
+    """
     m = bases.shape[0]
-    if p == np.inf:
-        cols = [2.0 * u01_v(bases, j, 0) - 1.0 for j in range(n)]
-        return np.stack(cols, axis=1)
+    gs = np.empty((m, k))
+    mags = np.empty((m, k))
     a = 1.0 / p
     b = 1.0 + a / _E
-    gs = np.empty((m, n))
-    mags = np.empty((m, n))
-    for j in range(n):
+    for j in range(k):
+        sj = slot + j
         if p == 1.0:
-            g = -np.log(u01_v(bases, j, 0))
+            g = -np.log(u01_v(bases, sj, 0))
             gs[:, j] = g
             mags[:, j] = g
             continue
         act = np.arange(m)  # rows still rejecting in this coordinate
-        k = 0
+        r = 0
         while act.size:
             lane_bases = bases[act]
-            q = b * u01_v(lane_bases, j, k)
-            u2 = u01_v(lane_bases, j, k + 1)
-            k += 2
+            q = b * u01_v(lane_bases, sj, r)
+            u2 = u01_v(lane_bases, sj, r + 1)
+            r += 2
             acc = np.empty(act.size, dtype=bool)
             small = np.nonzero(q <= 1.0)[0]
             big = np.nonzero(q > 1.0)[0]
@@ -109,13 +146,31 @@ def _sample_pball_indices(n, p, seed, indices):
             gs[rows, j] = g_big[ok]
             mags[rows, j] = np.exp(a * log_g[ok])
             act = act[~acc]
-    e = -np.log(u01_v(bases, n + 1, 0))
-    s = gs.sum(axis=1) + e
-    denom = s**a
-    signs = np.empty((m, n))
+    return gs, mags
+
+
+def _pball_rows(bases, n, p, slot):
+    """Uniform points in the unit p-ball, one row per stream key."""
+    p = float(p)
+    if p == np.inf:
+        out = np.empty((bases.shape[0], n))
+        for j in range(n):
+            out[:, j] = 2.0 * u01_v(bases, slot + j, 0) - 1.0
+        return out
+    gs, out = _gamma_gs(bases, p, slot, n)
+    e = -np.log(u01_v(bases, slot + n + 1, 0))
+    denom = (gs.sum(axis=1) + e) ** (1.0 / p)
+    del gs
+    # scale the magnitudes in place, then the signs: -(m / d) == (-m) / d
+    out /= denom[:, None]
     for j in range(n):
-        signs[:, j] = np.where(u01_v(bases, n, j) < 0.5, -1.0, 1.0)
-    return signs * mags / denom[:, None]
+        out[:, j] *= np.where(u01_v(bases, slot + n, j) < 0.5, -1.0, 1.0)
+    return out
+
+
+def _sample_pball_indices(n, p, seed, indices):
+    """Uniform points in the unit p-ball, one row per sample index."""
+    return _pball_rows(sample_bases_v(seed, indices), n, p, 0)
 
 
 def sample_pball(dim, p, count, seed, *, index_offset=0):
@@ -125,47 +180,125 @@ def sample_pball(dim, p, count, seed, *, index_offset=0):
 
 
 # ---------------------------------------------------------------------------
-# rejection sampling from the bounding cube
+# the other rules
 # ---------------------------------------------------------------------------
 
 
-def _sample_reject_indices(body, seed, indices):
-    radius = bounding_radius(body, PRIMAL)
+def _named_product(body):
+    """A named revolution profile as the product [-1, 1] x_P B_2^{n-1}."""
+    return Product(body.profile.exponent, Interval(), PBall(body.dim - 1, 2.0))
+
+
+def _slot_count(body):
+    """Size of the node's slot block (see the module docstring)."""
+    if isinstance(body, (PBall, Interval)):
+        return body.dim + 2
+    if isinstance(body, Simplex):
+        return body.dim + 1
+    if isinstance(body, LinearImage):
+        return _slot_count(body.inner)
+    if isinstance(body, Product):
+        return _slot_count(body.left) + _slot_count(body.right) + body.dim + 1
+    if body.profile.kind != "grid":
+        return _slot_count(_named_product(body))
+    return 2 + 2 * (body.dim // 2)
+
+
+def _simplex_rows(bases, n, slot):
+    """Dirichlet(1, ..., 1) weights of n + 1 exponentials on the vertices."""
+    w = np.empty((bases.shape[0], n + 1))
+    for j in range(n + 1):
+        w[:, j] = u01_v(bases, slot + j, 0)
+    w = -np.log(w)
+    w /= w.sum(axis=1)[:, None]
+    return w @ _simplex_vertices(n)
+
+
+def _product_rows(body, bases, slot):
+    factors = (body.left, body.right)
+    starts = (slot, slot + _slot_count(body.left))
+    out = np.empty((bases.shape[0], body.dim))
+    cols = (slice(0, body.left.dim), slice(body.left.dim, body.dim))
+    if math.isinf(body.p):
+        for factor, start, col in zip(factors, starts, cols):
+            out[:, col] = _draw(factor, bases, start)
+        return out
+    # one factor at a time: its Gamma sum G and G^(1/p), the l_p norm of the
+    # GS magnitudes, which never underflows
+    p = body.p
+    sg = starts[1] + _slot_count(body.right)
+    total = -np.log(u01_v(bases, sg + body.dim, 0))
+    norms = []
+    for factor, col in zip(factors, cols):
+        gs, mags = _gamma_gs(bases, p, sg + col.start, factor.dim)
+        total += gs.sum(axis=1)
+        norms.append(_pnorm_rows(mags, p))
+        del gs, mags  # free them before the next factor's draws
+    denom = total ** (1.0 / p)
+    for factor, start, col, norm in zip(factors, starts, cols, norms):
+        x = _draw(factor, bases, start)
+        out[:, col] = x * (norm / (denom * gauge_batch(factor, x)))[:, None]
+    return out
+
+
+def _cylinder_rows(bases, n, slot, ks):
+    """Uniform points in [-1, 1] x B_2^{n-1}: (lanes, rounds, n) at counters ks."""
+    t = 2.0 * u01_v(bases, slot, ks) - 1.0
+    rad = u01_v(bases, slot + 1, ks) ** (1.0 / (n - 1))
+    z = np.empty(t.shape + (n - 1,))
+    for i in range(n // 2):
+        s = slot + 2 + 2 * i
+        rho = np.sqrt(-2.0 * np.log(u01_v(bases, s, ks)))
+        ang = 2.0 * np.pi * u01_v(bases, s + 1, ks)
+        z[..., 2 * i] = rho * np.cos(ang)
+        if 2 * i + 1 < n - 1:
+            z[..., 2 * i + 1] = rho * np.sin(ang)
+    z *= (rad / np.linalg.norm(z, axis=-1))[..., None]
+    return np.concatenate([t[..., None], z], axis=-1)
+
+
+def _sample_reject_indices(body, bases, slot):
+    """Grid revolution: rejection from the cylinder, round k at counter k.
+
+    Lanes still rejecting run up to 4096 // lanes rounds at once (at least
+    one, at most 64), and each keeps its first accepted round.
+    """
     n = body.dim
-    count = indices.shape[0]
+    count = bases.shape[0]
     out = np.empty((count, n))
-    bases = sample_bases_v(seed, indices)
     remaining = np.arange(count)
     k = 0
-    tried = 0
-    accepted = 0
     while remaining.size:
         act = remaining.size
-        rounds = max(1, min(4096 // act, 4096))
-        ks = np.arange(k, k + rounds, dtype=np.uint64)
+        rounds = max(1, min(4096 // act, 64))
+        ks = np.arange(k, k + rounds, dtype=np.uint64)[None, :]
         k += rounds
-        cand = np.empty((act, rounds, n))
-        rem_bases = bases[remaining][:, None]
-        for j in range(n):
-            cand[:, :, j] = (2.0 * u01_v(rem_bases, j, ks[None, :]) - 1.0) * radius
+        cand = _cylinder_rows(bases[remaining][:, None], n, slot, ks)
         ok = membership_batch(body, PRIMAL, cand.reshape(act * rounds, n))
         ok = ok.reshape(act, rounds)
         hit = ok.any(axis=1)
         first = ok.argmax(axis=1)
         rows = np.nonzero(hit)[0]
         out[remaining[rows]] = cand[rows, first[rows]]
-        tried += act * rounds
-        accepted += rows.size
         remaining = remaining[~hit]
-        if remaining.size and tried >= _ENVELOPE_BUDGET:
-            rate = accepted / tried
-            if rate < _MIN_ACCEPTANCE:
-                raise EnvelopeError(
-                    f"rejection acceptance rate {rate:.3e} after {tried} candidates "
-                    f"(cube half-width {radius:.6g}); the bounding cube is too loose "
-                    f"for this body -- rescale it toward the unit ball first"
-                )
     return out
+
+
+def _draw(body, bases, slot):
+    """One uniform point of the body per stream key, from its slot block."""
+    if isinstance(body, PBall):
+        return _pball_rows(bases, body.dim, body.p, slot)
+    if isinstance(body, Interval):
+        return _pball_rows(bases, 1, np.inf, slot)
+    if isinstance(body, Simplex):
+        return _simplex_rows(bases, body.dim, slot)
+    if isinstance(body, LinearImage):
+        return _draw(body.inner, bases, slot) @ body.matrix.T
+    if isinstance(body, Product):
+        return _product_rows(body, bases, slot)
+    if body.profile.kind != "grid":
+        return _product_rows(_named_product(body), bases, slot)
+    return _sample_reject_indices(body, bases, slot)
 
 
 def sample_body(body, side, count, seed, *, index_offset=0):
@@ -178,11 +311,7 @@ def sample_body(body, side, count, seed, *, index_offset=0):
 
 
 def _dispatch_sample(resolved, seed, indices):
-    if isinstance(resolved, PBall):
-        return _sample_pball_indices(resolved.dim, resolved.p, seed, indices)
-    if isinstance(resolved, Interval):
-        return _sample_pball_indices(1, np.inf, seed, indices)
-    return _sample_reject_indices(resolved, seed, indices)
+    return _draw(resolved, sample_bases_v(seed, indices), 0)
 
 
 # ---------------------------------------------------------------------------

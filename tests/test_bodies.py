@@ -1,4 +1,4 @@
-"""Body description tests: grammar, membership, polars, envelopes.
+"""Body description tests: grammar, membership, gauges and polars.
 
 Membership oracles are checked against hand values (l_p norms of small
 vectors), structural identities (the polar of a p-ball is the dual-exponent
@@ -22,7 +22,6 @@ from polarphi.bodies import (
     PBall,
     Product,
     Simplex,
-    bounding_radius,
     gauge_batch,
     make_linear_image,
     membership,
@@ -207,34 +206,6 @@ def test_simplex_membership():
     assert membership(sim, POLAR, -2.0 * v0)  # the polar vertex itself
     assert membership(sim, POLAR, -2.0 * (1.0 - 1e-9) * v0)
     assert not membership(sim, POLAR, -2.0 * (1.0 + 1e-9) * v0)
-
-
-def test_bounding_radii():
-    assert bounding_radius(PBall(3, 2.0)) == 1.0
-    assert bounding_radius(PBall(3, 1.0)) == 1.0
-    assert abs(bounding_radius(PBall(3, math.inf)) - math.sqrt(3.0)) <= 1e-15
-    assert abs(bounding_radius(PBall(4, 4.0)) - 4.0 ** 0.25) <= 1e-15
-    assert bounding_radius(Simplex(5)) == 1.0
-    assert abs(bounding_radius(Simplex(2), POLAR) - 2.0) <= 1e-12
-    cube2 = Product(math.inf, Interval(), Interval())
-    assert abs(bounding_radius(cube2) - math.sqrt(2.0)) <= 1e-15
-    sheared = make_linear_image(np.array([[1.0, 1.0], [0.0, 1.0]]), PBall(2, 2.0))
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    assert abs(bounding_radius(sheared) - golden) <= 1e-12
-    rev = parse_body('{"type": "revolution", "dim": 3, "profile": "cylinder"}')
-    assert abs(bounding_radius(rev) - math.sqrt(2.0)) <= 1e-15
-    assert bounding_radius(parse_body('{"type": "revolution", "dim": 3, "profile": "cone"}')) == 1.0
-
-
-def test_radius_actually_bounds_samples():
-    from polarphi.sampler import sample_body
-
-    for doc in DOCS:
-        body = parse_body(doc)
-        for side in (PRIMAL, POLAR):
-            r = bounding_radius(body, side)
-            pts = sample_body(body, side, 500, 33)
-            assert np.linalg.norm(pts, axis=1).max() <= r + 1e-9, (doc, side)
 
 
 def test_membership_dimension_check():

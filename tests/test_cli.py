@@ -87,18 +87,20 @@ def test_phi_mc_body_file(tmp_path):
 
 
 def test_phi_mc_caps_and_envelope():
-    big = '{"type": "pball", "dim": 11, "p": 2}'
+    big = '{"type": "pball", "dim": 201, "p": 2}'
     assert run_cli("phi", "mc", "--body", "-", "--samples", "100", "--seed", "1", stdin=big).returncode == 2
     assert run_cli("phi", "mc", "--body", "-", "--samples", "1", "--seed", "1",
                    stdin='{"type": "interval"}').returncode == 2
+    # a thin ellipse has an exact sampler like any other body: phi = 1/8
     skew = json.dumps({
         "type": "linear",
         "matrix": [[1000.0, 0.0], [0.0, 0.001]],
         "inner": {"type": "pball", "dim": 2, "p": 2},
     })
     res = run_cli("phi", "mc", "--body", "-", "--samples", "1000", "--seed", "1", stdin=skew)
-    assert res.returncode == 3
-    assert res.stderr.startswith("error: envelope-failure:")
+    assert res.returncode == 0, res.stderr
+    rec = json.loads(res.stdout)[0]
+    assert abs(rec["estimate"] - 0.125) <= 4.0 * rec["stderr"]
 
 
 def test_f_eval():

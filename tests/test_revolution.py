@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -242,12 +242,46 @@ def _random_concave_profile(slopes):
         max_size=4,
     )
 )
+@example([(1.0, 4e-13)])  # a nearly flat top: its polar knots lie 8e-13 apart
 def test_polar_involution_random_grids(slopes):
     prof = _random_concave_profile(slopes)
     double = polar_profile(polar_profile(prof))
     ts = np.linspace(-1.0, 1.0, 101)
     err = np.abs(double.values(ts) - prof.values(ts)).max()
     assert err <= 1e-13, err
+
+
+def _perturbed_collinear_grid(rng):
+    """An even concave grid with collinear knots, radii perturbed by <= 5e-13.
+
+    The perturbations stay within _validate_grid's 1e-12 tolerances on
+    evenness and r(0) = 1, or the grid is rejected (then None).
+    """
+    half = np.sort(rng.choice(np.arange(1, 20), size=rng.integers(2, 6), replace=False)) / 20.0
+    mid = [0.0] if rng.random() < 0.5 else []
+    ts = np.concatenate([[-1.0], -half[::-1], mid, half, [1.0]])
+    a, b = rng.uniform(1.0, 2.0, 3), rng.uniform(0.0, 2.0, 3)
+    r = np.maximum(np.min(a[:, None] - b[:, None] * np.abs(ts), axis=0) / a.min(), 0.0)
+    r = np.maximum(r + (r > 0.0) * rng.uniform(-0.5e-12, 0.5e-12, r.shape), 0.0)
+    try:
+        return parse_profile({"grid": [[float(t), float(v)] for t, v in zip(ts, r)]})
+    except DomainError:
+        return None
+
+
+def test_polars_of_perturbed_grids_round_trip():
+    # the polar and the double polar of every accepted grid serialize and
+    # parse back bit-exactly (even knots, r(0) = 1 exactly)
+    rng = np.random.default_rng(1349)
+    checked = 0
+    while checked < 40:
+        prof = _perturbed_collinear_grid(rng)
+        if prof is None:
+            continue
+        checked += 1
+        for q in (polar_profile(prof), polar_profile(polar_profile(prof))):
+            again = parse_profile(profile_to_json(q))
+            assert np.array_equal(again.knots, q.knots), prof.knots
 
 
 def test_gauss_legendre_rule_is_exact_to_its_degree():

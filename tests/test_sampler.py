@@ -1,21 +1,22 @@
 """Monte Carlo sampler tests.
 
 Distributional oracles (independent closed forms):
-  * for X uniform in the unit p-ball, the gauge satisfies P(g <= t) = t^n,
-    so E[sum_j |X_j|^p] = E[g^p] = n/(n+p) for finite p;
+  * for X uniform in a body K in R^n, the gauge satisfies P(g <= t) = t^n,
+    so g^n is uniform on (0, 1) and, for the unit p-ball with finite p,
+    E[sum_j |X_j|^p] = E[g^p] = n/(n+p);
   * coordinates are symmetric: every coordinate mean is 0;
   * estimates for p-balls and revolution bodies must bracket the exact phi
     (closed form, or the exact revolution moments) within 4 stderr.
 
 Structural contracts: counter-based determinism (prefix invariance, exact
 repeatability, rows that follow their sample indices under permutation and
-gaps, Monte Carlo and RNG bits pinned to recorded values), membership of
-every sample, the vectorized p-ball kernel agreeing to roundoff with a
-one-sample-at-a-time reference, and the rejection envelope failing loudly
-when acceptance collapses.
+gaps, for every sampling rule; Monte Carlo and RNG bits pinned to recorded
+values), membership of every sample, and the vectorized p-ball kernel
+agreeing to roundoff with a one-sample-at-a-time reference.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -29,16 +30,19 @@ from polarphi.bodies import (
     PBall,
     Product,
     Simplex,
+    gauge_batch,
     make_linear_image,
     membership_batch,
     parse_body,
+    resolve_side,
 )
-from polarphi.errors import DomainError, EnvelopeError
+from polarphi.errors import DomainError
 from polarphi.exact import phi_pball
 from polarphi.revolution import phi_revolution
 from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
     MCEstimate,
+    _dispatch_sample,
     _sample_pball_indices,
     estimate_phi,
     sample_bases_v,
@@ -271,14 +275,75 @@ def test_revolution_estimates_match_exact_phi():
         assert abs(est.estimate - ref) <= 4.0 * est.stderr, (profile, est, ref)
 
 
-def test_rejection_acceptance_rate_simplex():
-    # area(triangle, unit circumradius) / area(bounding square) = (3 sqrt(3)/4) / 4
+def test_simplex_centroid_is_origin():
+    # the regular simplex has its centroid at 0, so a uniform sample's mean is
+    # near 0 (each coordinate has variance below 1)
     count = 30_000
     pts = sample_body(Simplex(2), PRIMAL, count, 909)
     assert pts.shape == (count, 2)
-    # indirect check: the sampler is uniform, so the centroid is near 0
     tol = 4.0 / math.sqrt(count)
     assert np.abs(pts.mean(axis=0)).max() <= tol
+
+
+README_GRID = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
+
+# one body per exact rule beyond the p-ball; the polar side of each is a
+# second rule or a second instance (the simplex polar is a linear image, the
+# cone's polar the cylinder, x_1 becomes x_inf)
+RULE_BODIES = [
+    Simplex(3),
+    *(Product(p, Simplex(2), PBall(2, 3.0)) for p in (1.0, 1.5, math.inf)),
+    parse_body({"type": "revolution", "dim": 4, "profile": "cone"}),
+    parse_body({"type": "revolution", "dim": 3, "profile": "pball:3"}),
+    parse_body({"type": "revolution", "dim": 3, "profile": README_GRID}),
+    parse_body({"type": "revolution", "dim": 12, "profile": README_GRID}),
+    make_linear_image(np.diag(np.logspace(-6.0, 6.0, 4)), PBall(4, 2.0)),
+]
+
+
+def test_every_rule_is_uniform_in_its_body():
+    # g^n ~ U(0, 1): its mean is 1/2 with standard error 1/sqrt(12 M)
+    count = 20_000
+    for body in RULE_BODIES:
+        for side in (PRIMAL, POLAR):
+            pts = sample_body(body, side, count, 4711)
+            assert membership_batch(body, side, pts).all(), (body, side)
+            g = gauge_batch(resolve_side(body, side), pts) ** body.dim
+            assert abs(g.mean() - 0.5) <= 4.0 / math.sqrt(12.0 * count), (body, side)
+
+
+def test_every_rule_is_deterministic_per_index():
+    perm = np.random.default_rng(99).permutation(1500)
+    idx = np.arange(1500, dtype=np.uint64)
+    for body in RULE_BODIES:
+        for side in (PRIMAL, POLAR):
+            resolved = resolve_side(body, side)
+            ref = _dispatch_sample(resolved, 31, idx)
+            assert np.array_equal(ref, _dispatch_sample(resolved, 31, idx)), (body, side)
+            assert np.array_equal(_dispatch_sample(resolved, 31, idx[perm]), ref[perm]), (body, side)
+            small = sample_body(body, side, 200, 31)
+            assert np.array_equal(small, ref[:200]), (body, side)
+            off = sample_body(body, side, 100, 31, index_offset=700)
+            assert np.array_equal(off, ref[700:800]), (body, side)
+
+
+def test_exact_samplers_reach_exact_phi_in_high_dimension():
+    # simplex, cone and a cond-1e12 ellipse at n = 10 and 50, 2e4 samples each
+    for n in (10, 50):
+        ball = n / (n + 2.0) ** 2
+        cone = parse_body({"type": "revolution", "dim": n, "profile": "cone"})
+        cells = (
+            ("simplex", Simplex(n), ball),
+            ("cone", cone, phi_revolution(cone.profile, n).phi),
+            ("ellipse", make_linear_image(np.diag(np.logspace(-6.0, 6.0, n)), PBall(n, 2.0)), ball),
+        )
+        for name, body, ref in cells:
+            t0 = time.perf_counter()
+            est = estimate_phi(body, 20_000, 2025)
+            dt = time.perf_counter() - t0
+            sigmas = abs(est.estimate - ref) / est.stderr
+            print(f"{name}-{n}: {sigmas:.2f} stderr from exact phi, {dt:.3f} s")
+            assert sigmas <= 4.0, (name, n, est, ref)
 
 
 def test_stderr_scaling():
@@ -304,10 +369,14 @@ def test_stderr_definition():
     assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(5000))
 
 
-def test_envelope_failure():
-    bad = make_linear_image(np.diag([1000.0, 0.001]), PBall(2, 2.0))
-    with pytest.raises(EnvelopeError, match="acceptance rate"):
-        estimate_phi(bad, 1000, 1)
+def test_ill_conditioned_ellipses_estimate_one_eighth():
+    # phi is linear invariant, so every ellipse has phi(B_2^2) = 1/8
+    theta = 0.3
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    for matrix in (np.diag([1000.0, 0.001]), rot @ np.diag([1e6, 1e-6]) @ rot.T):
+        body = make_linear_image(matrix, PBall(2, 2.0))
+        est = estimate_phi(body, 20_000, 1)
+        assert abs(est.estimate - 0.125) <= 4.0 * est.stderr, (matrix, est)
 
 
 def test_input_validation():
