@@ -41,7 +41,6 @@ from .exact import (
     inequality_report,
     pball_moment2,
     pball_volume,
-    pball_volume_closed_form,
     phi_combine,
     phi_pball,
     phi_via_moments,
@@ -109,7 +108,6 @@ __all__ = [
     "inequality_report",
     "pball_moment2",
     "pball_volume",
-    "pball_volume_closed_form",
     "phi_combine",
     "phi_pball",
     "phi_via_moments",

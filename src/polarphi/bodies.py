@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .exact import dual_exponent
 from .revolution import RevolutionProfile, parse_profile, polar_profile, profile_to_json
 
 PRIMAL = "primal"
@@ -64,14 +65,6 @@ def _parse_p(value) -> float:
 
 def _p_to_json(p: float):
     return "inf" if math.isinf(p) else p
-
-
-def _dual(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if math.isinf(p):
-        return 1.0
-    return p / (p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -383,10 +376,12 @@ def polar_body(spec) -> object:
     if isinstance(spec, Interval):
         return Interval()
     if isinstance(spec, PBall):
-        return PBall(dim=spec.dim, p=_dual(spec.p))
+        return PBall(dim=spec.dim, p=dual_exponent(spec.p).q)
     if isinstance(spec, Product):
         return Product(
-            p=_dual(spec.p), left=polar_body(spec.left), right=polar_body(spec.right)
+            p=dual_exponent(spec.p).q,
+            left=polar_body(spec.left),
+            right=polar_body(spec.right),
         )
     if isinstance(spec, Revolution):
         return Revolution(dim=spec.dim, profile=polar_profile(spec.profile))

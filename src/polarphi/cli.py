@@ -52,7 +52,6 @@ EXIT_INVALID = 2
 DIM_CAP_EXACT = 200
 
 _VERIFY_DIM_PAIRS = ((1, 1), (1, 2), (2, 3), (3, 5), (5, 10))
-_VERIFY_PS_FINITE = (1.25, 1.5, 2.0, 3.0, 8.0)
 _VERIFY_PS_ALL = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
 
 
@@ -226,7 +225,7 @@ def _cmd_verify_theorem(args):
                 }
             )
     for n in (2, 3, 5, 10, 20):
-        for p in _VERIFY_PS_FINITE:
+        for p in _VERIFY_PS_ALL:
             a = phi_pball(n, p).phi
             b = phi_via_moments(n, p).phi
             resid = abs(a - b) / max(abs(a), 1e-300)
@@ -287,8 +286,7 @@ def _cmd_verify_inequalities(args):
     records = []
     ok = True
     for n in (2, 3, 5, 10, 20):
-        ball = phi_pball(n, 2.0)
-        ball_product = ball.volume * ball.polar_volume
+        ball_product = inequality_report(n, 2.0, check=False).santalo_product
         for p in _VERIFY_PS_ALL:
             rep = inequality_report(n, p, check=False)
             phi = phi_pball(n, p).phi

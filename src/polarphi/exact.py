@@ -10,9 +10,10 @@ reduces to Gamma-function ratios, because B_p^n splits as the p-product
 B_p^{n-1} x_p [-1,1] and both volume and the pairing integral propagate
 through p-products in closed form.
 
-Two independent evaluation routes are implemented:
+Two independent evaluation routes are implemented, both valid on all of
+1 <= p <= inf:
 
-* :func:`phi_pball` runs the one-term-per-dimension recursion
+* :func:`phi_pball` runs the paper's one-term-per-dimension recursion
 
       phi_1 = 1/9,   phi_k = f(k-1, k, p) phi_{k-1} + f(1, k, p) / 9,
 
@@ -24,12 +25,18 @@ Two independent evaluation routes are implemented:
   (G = Gamma), with the p in {1, inf} limit collapsing to
   (y1+1)(y1+2) / ((y2+1)(y2+2)).
 
-* :func:`phi_via_moments` carries the triple (|B_p^k|, |B_q^k|, I(B_p^k))
-  through the same product structure using the volume and second-moment
-  propagation factors directly, never forming phi until the end.
+* :func:`phi_via_moments` evaluates the product form
 
-The two routes share only the log-gamma kernel, so their agreement (checked to
-1e-10 relative in the test suite) is a meaningful cross-validation.
+      phi(B_p^n) = n R(n, p) R(n, q),   R(n, p) = E x_1^2 over B_p^n
+                 = B(3/p, a) / B(1/p, a),   a = (n-1)/p + 1,
+
+  with R(n, inf) = 1/3: both bodies are 1-unconditional, so the pairing
+  integral keeps only its n diagonal terms.
+
+The two phi values share only the log-gamma kernel, so their agreement
+(checked to 1e-10 relative in the test suite) is a meaningful
+cross-validation.  Both routes report the volumes of the one closed form
+|B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p).
 
 All Gamma ratios are evaluated in log space: the direct products overflow for
 dimensions beyond ~170, while log space is safe through the CLI's dimension
@@ -153,48 +160,25 @@ def f_factor(y1: float, y2: float, p) -> float:
 
 
 def _log_volume(n: int, p: float) -> float:
-    """ln |B_p^n| by the slice recursion; p = inf handled as the cube."""
+    """ln |B_p^n| = n ln 2 + n ln Gamma(1 + 1/p) - ln Gamma(1 + n/p)."""
     if math.isinf(p):
         return n * math.log(2.0)
-    lv = math.log(2.0)
-    for k in range(2, n + 1):
-        lv += math.log(2.0 * (k - 1) / (p * k)) + log_beta(1.0 / p, (k - 1.0) / p)
-    return lv
+    return n * math.log(2.0) + n * log_gamma(1.0 + 1.0 / p) - log_gamma(1.0 + n / p)
 
 
 def pball_volume(n: int, p) -> float:
-    """|B_p^n| via the product recursion |B_p^k| ~ |B_p^{k-1}| * B(1/p, (k-1)/p).
-
-    Base |B_p^1| = 2; each step multiplies by 2(k-1)/(pk) * B(1/p, (k-1)/p).
-    Agrees with the closed form 2^n Gamma(1+1/p)^n / Gamma(1+n/p) to 1e-12
-    relative (the test suite pins this).
-    """
+    """|B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p); 2^n for p = inf."""
     n = _check_dim(n)
     p = _check_p(p)
     return math.exp(_log_volume(n, p))
 
 
-def pball_volume_closed_form(n: int, p) -> float:
-    """|B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p); the recursion's oracle."""
-    n = _check_dim(n)
-    p = _check_p(p)
+def _log_r(n: int, p: float) -> float:
+    """ln R(n, p), R = E x_1^2 for x uniform in B_p^n; R(n, inf) = 1/3."""
     if math.isinf(p):
-        return 2.0**n
-    return math.exp(
-        n * math.log(2.0) + n * log_gamma(1.0 + 1.0 / p) - log_gamma(1.0 + n / p)
-    )
-
-
-def _log_moment2(n: int, p: float) -> float:
-    """ln Int_{B_p^n} x_1^2 dx (Dirichlet integral; see pball_moment2)."""
-    if math.isinf(p):
-        return n * math.log(2.0) - math.log(3.0)
-    return (
-        n * math.log(2.0 / p)
-        + log_gamma(3.0 / p)
-        + (n - 1) * log_gamma(1.0 / p)
-        - log_gamma(1.0 + (n + 2.0) / p)
-    )
+        return -math.log(3.0)
+    a = (n - 1.0) / p + 1.0
+    return log_beta(3.0 / p, a) - log_beta(1.0 / p, a)
 
 
 def pball_moment2(n: int, p) -> float:
@@ -204,7 +188,7 @@ def pball_moment2(n: int, p) -> float:
     """
     n = _check_dim(n)
     p = _check_p(p)
-    return math.exp(_log_moment2(n, p))
+    return math.exp(_log_volume(n, p) + _log_r(n, p))
 
 
 def phi_pball(n: int, p) -> PhiBreakdown:
@@ -233,63 +217,23 @@ def phi_pball(n: int, p) -> PhiBreakdown:
 
 
 def phi_via_moments(n: int, p) -> PhiBreakdown:
-    """phi(B_p^n) by the volume/moment triple recursion (route two).
+    """phi(B_p^n) = n R(n, p) R(n, q) in closed form (route two).
 
-    Carries ln|B_p^k|, ln|B_q^k| and ln I(B_p^k) upward; the pairing integral
-    of B_p^k = B_p^{k-1} x_p [-1,1] splits into the inherited term
-
-        4 (k+1)^2 / (pq (k+2)^2) * B(1/p,(k+1)/p) B(1/q,(k+1)/q) * I_{k-1}
-
-    plus the new-coordinate term
-
-        4 (k-1)^2 / (pq (k+2)^2) * B((k-1)/p,3/p) B((k-1)/q,3/q) * |B_p^{k-1}| |B_q^{k-1}|.
-
-    Restricted to finite p strictly above 1: the {1, inf} endpoints follow by
-    continuity and are evaluated by :func:`phi_pball` only.
+    R(n, p) = E x_1^2 = B(3/p, (n-1)/p + 1) / B(1/p, (n-1)/p + 1), and
+    R(n, inf) = 1/3, so every exponent in [1, inf] is covered.  The volumes
+    and the pairing integral come from the same logs.
     """
     n = _check_dim(n)
-    p = _check_p(p)
-    if p == 1.0 or math.isinf(p):
-        raise DomainError(
-            "phi_via_moments requires p strictly inside (1, inf); "
-            "use phi_pball for the endpoint exponents"
-        )
-    q = p / (p - 1.0)
-    lpq = math.log(p * q)
-    l4 = math.log(4.0)
-    lv = math.log(2.0)  # ln |B_p^k|
-    lw = math.log(2.0)  # ln |B_q^k|
-    li = math.log(4.0 / 9.0)  # ln I(B_p^k)
-    for k in range(2, n + 1):
-        lt1 = (
-            l4
-            + 2.0 * math.log(k + 1.0)
-            - lpq
-            - 2.0 * math.log(k + 2.0)
-            + log_beta(1.0 / p, (k + 1.0) / p)
-            + log_beta(1.0 / q, (k + 1.0) / q)
-            + li
-        )
-        lt2 = (
-            l4
-            + 2.0 * math.log(k - 1.0)
-            - lpq
-            - 2.0 * math.log(k + 2.0)
-            + log_beta((k - 1.0) / p, 3.0 / p)
-            + log_beta((k - 1.0) / q, 3.0 / q)
-            + lv
-            + lw
-        )
-        hi, lo = (lt1, lt2) if lt1 >= lt2 else (lt2, lt1)
-        li = hi + math.log1p(math.exp(lo - hi))
-        lv += math.log(2.0 * (k - 1) / (p * k)) + log_beta(1.0 / p, (k - 1.0) / p)
-        lw += math.log(2.0 * (k - 1) / (q * k)) + log_beta(1.0 / q, (k - 1.0) / q)
+    pair = dual_exponent(p)
+    lv = _log_volume(n, pair.p)
+    lw = _log_volume(n, pair.q)
+    phi = n * math.exp(_log_r(n, pair.p) + _log_r(n, pair.q))
     return PhiBreakdown(
         dim=n,
         volume=math.exp(lv),
         polar_volume=math.exp(lw),
-        cross_integral=math.exp(li),
-        phi=math.exp(li - lv - lw),
+        cross_integral=phi * math.exp(lv + lw),
+        phi=phi,
     )
 
 
@@ -330,19 +274,16 @@ def inequality_report(
     pair = dual_exponent(p)
     lv = _log_volume(n, pair.p)
     lw = _log_volume(n, pair.q)
-    lm2 = _log_moment2(n, pair.p)
-    lm2q = _log_moment2(n, pair.q)
     lb2 = _log_volume(n, 2.0)
     phi = phi_pball(n, pair.p).phi
 
     # all in log space: volumes are denormal-small long before n hits 200
-    L_sq = math.exp(lm2 - (n + 2.0) / n * lv)
-    L_polar_sq = math.exp(lm2q - (n + 2.0) / n * lw)
+    L_sq = math.exp(_log_r(n, pair.p) - 2.0 / n * lv)
+    L_polar_sq = math.exp(_log_r(n, pair.q) - 2.0 / n * lw)
     santalo = math.exp(lv + lw)
     b2sq = math.exp(2.0 * lb2)
-    identity_value = n * math.exp(
-        2.0 / n * (lv + lw) + (lm2 - (n + 2.0) / n * lv) + (lm2q - (n + 2.0) / n * lw)
-    )
+    # n |K|^{2/n} |K°|^{2/n} L_K^2 L_{K°}^2 collapses to n R(n, p) R(n, q)
+    identity_value = phi_via_moments(n, pair.p).phi
     lower = n * math.exp(2.0 / n * (lv + lw) - 4.0 / n * lb2) / (n + 2.0) ** 2
     residual = abs(phi - identity_value)
 

@@ -92,13 +92,18 @@ def f1_eval(x: float, y1: float, y2: float) -> float:
     return f_factor(y1, y2, 1.0 / x)
 
 
-def F_eval(x: float, y: float) -> float:
+def _check_xy(x, y):
     x = float(x)
     y = float(y)
     if not 0.0 < x < 1.0:
         raise DomainError(f"x must lie in (0, 1), got {x!r}")
     if y <= 0.0:
         raise DomainError(f"y must be positive, got {y!r}")
+    return x, y
+
+
+def F_eval(x: float, y: float) -> float:
+    x, y = _check_xy(x, y)
     return (y + 2.0) * (digamma((y + 2.0) * x) - digamma((y + 2.0) * (1.0 - x))) - y * (
         digamma(y * x) - digamma(y * (1.0 - x))
     )
@@ -106,12 +111,7 @@ def F_eval(x: float, y: float) -> float:
 
 def G_eval(x: float, y: float) -> float:
     """dF/dy, written out: antisymmetric about x = 1/2, zero exactly there."""
-    x = float(x)
-    y = float(y)
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x!r}")
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y!r}")
+    x, y = _check_xy(x, y)
     u = 1.0 - x
     a = (y + 2.0) * x
     b = (y + 2.0) * u
@@ -127,12 +127,7 @@ def G_eval(x: float, y: float) -> float:
 
 
 def H_eval(x: float, y: float) -> float:
-    x = float(x)
-    y = float(y)
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x!r}")
-    if y <= 0.0:
-        raise DomainError(f"y must be positive, got {y!r}")
+    x, y = _check_xy(x, y)
     u = 1.0 - x
     return 2.0 * y * (trigamma(y * x) + trigamma(y * u)) + y * y * (
         x * tetragamma(y * x) + u * tetragamma(y * u)

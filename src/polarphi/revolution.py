@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exact import dual_exponent, phi_pball
+from .exact import dual_exponent, pball_volume, phi_pball
 from .specfun import log_beta
 
 _NAMED_EXPONENT = {"ball": 2.0, "cone": 1.0, "cylinder": math.inf}
@@ -285,17 +285,17 @@ def profile_integrals(profile: RevolutionProfile, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _build_report(profile, n) -> RevolutionReport:
+def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
+    """phi of the revolution body with the given profile in dimension n >= 2."""
     m0_1, m2_1, mp_1 = profile_integrals(profile, n)
     m0_2, m2_2, mp_2 = profile_integrals(polar_profile(profile), n)
-    phi_slice = phi_pball(n - 1, 2.0).phi if n >= 2 else 0.0
+    phi_slice = phi_pball(n - 1, 2.0).phi
     first = (m2_1 / m0_1) * (m2_2 / m0_2)
     second = (mp_1 * mp_2) / (m0_1 * m0_2) * phi_slice
     phi = first + second
 
-    vol_slice = phi_pball(max(n - 1, 1), 2.0).volume if n >= 2 else 1.0
-    vol_ball_n = phi_pball(n, 2.0).volume
-    santalo_ratio = (vol_slice * m0_1) * (vol_slice * m0_2) / vol_ball_n**2
+    vol_slice = pball_volume(n - 1, 2.0)
+    santalo_ratio = (vol_slice * m0_1) * (vol_slice * m0_2) / pball_volume(n, 2.0) ** 2
     hensley = m2_1 / m0_1**3
 
     report = RevolutionReport(
@@ -332,11 +332,6 @@ def _build_report(profile, n) -> RevolutionReport:
     return report
 
 
-def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
-    """phi of the revolution body with the given profile in dimension n >= 2."""
-    return _build_report(profile, n)
-
-
 def decomposition_report(profile: RevolutionProfile, n: int) -> RevolutionReport:
     """phi_revolution plus the two-sided section-moment window assertion.
 
@@ -345,7 +340,7 @@ def decomposition_report(profile: RevolutionProfile, n: int) -> RevolutionReport
     so f(0)^2 sigma^2 must land in [1/12, 1/2]; the cube attains the left
     endpoint.  A violation is raised, not reported.
     """
-    report = _build_report(profile, n)
+    report = phi_revolution(profile, n)
     h = report.hensley_product_sq
     if not (1.0 / 12.0 - 1e-9 <= h <= 0.5 + 1e-9):
         raise VerificationError(

@@ -66,25 +66,26 @@ def test_criterion_2_euclidean_maximizes():
     )
 
 
-def test_criterion_3_cross_path_oracle():
+def test_criterion_3_cross_path_oracle(slice_volume):
+    exponents = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
     worst_phi = 0.0
     for n in range(2, 21):
-        for p in (1.25, 1.5, 3.0, 8.0):
+        for p in exponents:
             a = pp.phi_pball(n, p).phi
             b = pp.phi_via_moments(n, p).phi
             worst_phi = max(worst_phi, abs(a - b) / a)
     worst_vol = 0.0
     for n in range(1, 51):
-        for p in (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf):
-            a = pp.pball_volume(n, p)
-            b = pp.pball_volume_closed_form(n, p)
+        for p in exponents:
+            a = slice_volume(n, p)
+            b = pp.pball_volume(n, p)
             worst_vol = max(worst_vol, abs(a - b) / b)
     ok = worst_phi <= 1e-10 and worst_vol <= 1e-12
     _report(
         3,
         ok,
         f"moment route vs recursion worst rel {worst_phi:.2e} (cap 1e-10); "
-        f"volume recursion vs closed form worst rel {worst_vol:.2e} (cap 1e-12)",
+        f"volume slice recursion vs closed form worst rel {worst_vol:.2e} (cap 1e-12)",
     )
 
 

@@ -49,7 +49,11 @@ def test_method_moments():
     row = json.loads(res.stdout)[0]
     ref = run_cli("phi", "exact", "--dim", "4", "--p", "3")
     assert abs(row["phi"] - json.loads(ref.stdout)[0]["phi"]) <= 1e-10
-    bad = run_cli("phi", "exact", "--dim", "4", "--p", "1", "--method", "moments")
+    for p, want in (("1", 0.1), ("inf", 0.1)):  # 2n/(3(n+1)(n+2)) at n = 3
+        end = run_cli("phi", "exact", "--dim", "3", "--p", p, "--method", "moments")
+        assert end.returncode == 0, end.stderr
+        assert abs(json.loads(end.stdout)[0]["phi"] - want) <= 1e-15
+    bad = run_cli("phi", "exact", "--dim", "4", "--p", "0.5", "--method", "moments")
     assert bad.returncode == 2
     assert bad.stderr.startswith("error: invalid-input:")
 
@@ -122,11 +126,17 @@ def test_scan_small_grid():
 
 
 def test_verify_suites():
+    rows = {}
     for suite in ("theorem", "inequalities"):
         res = run_cli("verify", suite)
         assert res.returncode == 0, (suite, res.stderr)
-        rows = json.loads(res.stdout)
-        assert rows and all(r["status"] == "pass" for r in rows), suite
+        rows[suite] = json.loads(res.stdout)
+        assert rows[suite] and all(r["status"] == "pass" for r in rows[suite]), suite
+    moments = [r for r in rows["theorem"] if r["check"] == "recursion-vs-moments"]
+    assert {r["p"] for r in moments} == {1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, "inf"}
+    # the ball's volume product is the report's own at p = 2: no slack at all
+    ball = [r for r in rows["inequalities"] if r["p"] == 2.0]
+    assert ball and all(r["santalo_slack"] == 0.0 for r in ball)
 
 
 def test_verify_harness():

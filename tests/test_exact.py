@@ -11,11 +11,13 @@ Hand-checkable oracles (independent of the recursion being tested):
   * the factor at p in {1, inf} is the rational (y1+1)(y1+2)/((y2+1)(y2+2)).
 
 Everything else cross-checks two independent code paths against each other
-(recursion vs moment route, dual exponents, product combination).
+(recursion vs moment route, dual exponents, product combination), or checks
+the closed forms against mpmath and the slice recursion for the volume.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,6 @@ from polarphi.exact import (
     inequality_report,
     pball_moment2,
     pball_volume,
-    pball_volume_closed_form,
     phi_combine,
     phi_pball,
     phi_via_moments,
@@ -86,11 +87,11 @@ def test_volumes_small():
     assert abs(pball_volume(1, 7.0) - 2.0) <= 1e-13 * 2.0
 
 
-def test_volume_recursion_vs_closed_form():
+def test_volume_recursion_vs_closed_form(slice_volume):
     for n in range(1, 51):
         for p in ALL_PS:
-            a = pball_volume(n, p)
-            b = pball_volume_closed_form(n, p)
+            a = slice_volume(n, p)
+            b = pball_volume(n, p)
             assert abs(a - b) <= 1e-12 * abs(b), (n, p)
 
 
@@ -120,7 +121,7 @@ def test_moment2_formula_against_elementary_values_and_moment_route():
 
 def test_moment_route_matches_recursion():
     for n in range(2, 21):
-        for p in (1.25, 1.5, 3.0, 8.0):
+        for p in ALL_PS:
             a = phi_pball(n, p)
             b = phi_via_moments(n, p)
             assert abs(a.phi - b.phi) <= 1e-10 * a.phi, (n, p)
@@ -133,11 +134,42 @@ def test_moment_route_small_exact():
     assert abs(phi_via_moments(2, 1.5).phi - phi_pball(2, 1.5).phi) <= 1e-12
 
 
-def test_moment_route_rejects_endpoints():
+def test_moment_route_answers_endpoints():
+    # R(n, 1) = 2/((n+1)(n+2)) and R(n, inf) = 1/3, so phi = 2n/(3(n+1)(n+2))
+    assert abs(phi_via_moments(3, 1.0).phi - 1.0 / 10.0) <= 1e-15
+    assert abs(phi_via_moments(3, math.inf).phi - 1.0 / 10.0) <= 1e-15
+    for n in (1, 2, 5, 20, 200):
+        for p in (1.0, math.inf):
+            a = phi_pball(n, p).phi
+            assert abs(phi_via_moments(n, p).phi - a) <= 1e-12 * a, (n, p)
     with pytest.raises(DomainError):
-        phi_via_moments(3, 1.0)
-    with pytest.raises(DomainError):
-        phi_via_moments(3, math.inf)
+        phi_via_moments(3, 0.5)
+
+
+def _phi_mpmath(n, p):
+    """n R(n, p) R(n, q) from 40-digit Gamma functions."""
+
+    def r(e):
+        if e == mpmath.inf:
+            return mpmath.mpf(1) / 3
+        return (
+            mpmath.gamma(3 / e)
+            * mpmath.gamma(1 + n / e)
+            / (mpmath.gamma(1 / e) * mpmath.gamma(1 + (n + 2) / e))
+        )
+
+    with mpmath.workdps(40):
+        e = mpmath.inf if math.isinf(p) else mpmath.mpf(p)
+        q = mpmath.inf if e == 1 else (mpmath.mpf(1) if e == mpmath.inf else e / (e - 1))
+        return float(n * r(e) * r(q))
+
+
+def test_moment_route_against_mpmath():
+    for n in (2, 3, 5, 10, 50, 200):
+        for p in (1.0, 1.05, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf):
+            ref = _phi_mpmath(n, p)
+            got = phi_via_moments(n, p).phi
+            assert abs(got - ref) <= 1e-12 * ref, (n, p)
 
 
 def test_duality():
@@ -194,10 +226,12 @@ def test_inequality_report_fields_and_checks():
     assert rep.santalo_product <= b2.volume * b2.polar_volume + 1e-10
     assert rep.lower_bound <= phi_pball(3, 1.5).phi + 1e-10
     assert rep.identity_residual <= 1e-10 * phi_pball(3, 1.5).phi
-    # at p = 2 the volume product IS the ball product (same code path)
-    rep2 = inequality_report(4, 2.0)
-    b24 = phi_pball(4, 2.0)
-    assert rep2.santalo_product == b24.volume * b24.polar_volume
+    # at p = 2 the volume product IS the ball product: the report takes both
+    # as exp(lv + lw) of the same logs, so they agree to the last bit -- the
+    # Santalo check passes with no slack and fails with one ulp less
+    rep2 = inequality_report(4, 2.0, tol_santalo=0.0)
+    with pytest.raises(VerificationError):
+        inequality_report(4, 2.0, tol_santalo=-math.ulp(rep2.santalo_product))
 
 
 def test_inequality_report_check_toggle():

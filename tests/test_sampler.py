@@ -52,6 +52,9 @@ from polarphi.sampler import (
 )
 
 CELLS = ((2, 1.0), (2, 2.0), (3, 1.5), (4, 3.0), (3, math.inf))
+# the kernel's column loops only show their bugs at larger n (a sign flip that
+# scrambled rows at (8, 1) passed every n <= 4 cell)
+REFERENCE_CELLS = CELLS + ((8, 1.0), (8, math.inf), (10, 1.25))
 
 
 # ---- scalar reference: one sample, one coordinate, one GS round at a time ----
@@ -199,7 +202,7 @@ def test_seed_sensitivity():
 
 
 def test_vectorized_sampler_matches_scalar_reference():
-    for n, p in CELLS:
+    for n, p in REFERENCE_CELLS:
         idx = np.arange(4000, dtype=np.uint64)
         out = np.empty((4000, n))
         # uint64 arithmetic wraps modulo 2^64 by design; numpy scalars warn on it
