@@ -20,6 +20,7 @@ stderr.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -289,7 +290,7 @@ def _cmd_verify_inequalities(args):
         ball_product = inequality_report(n, 2.0, check=False).santalo_product
         for p in _VERIFY_PS_ALL:
             rep = inequality_report(n, p, check=False)
-            phi = phi_pball(n, p).phi
+            phi = rep.phi
             santalo_slack = ball_product - rep.santalo_product
             chain_slack = phi - rep.lower_bound
             identity_rel = rep.identity_residual / phi
@@ -344,7 +345,9 @@ def _cmd_revolution(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parse_args keeps no state."""
     parser = _Parser(prog="polarphi", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report encoding"

@@ -23,7 +23,11 @@ Two independent evaluation routes are implemented, both valid on all of
                      / [ y1^2 (y2+2)^2 G((y2+2)/p) G((y2+2)/q) G(y1/p) G(y1/q) ]
 
   (G = Gamma), with the p in {1, inf} limit collapsing to
-  (y1+1)(y1+2) / ((y2+1)(y2+2)).
+  (y1+1)(y1+2) / ((y2+1)(y2+2)).  Every Gamma argument the recursion
+  meets is j/p or j/q for an integer 1 <= j <= n+2, so phi_pball tables
+  those 2(n+2) log-gammas once and runs the recursion by lookup, O(n)
+  arithmetic on top.  f_factor sums the same log-f expression in the same
+  order, so phi is bit-identical to calling f_factor at every step.
 
 * :func:`phi_via_moments` evaluates the product form
 
@@ -94,6 +98,8 @@ class PhiBreakdown:
 class IsotropyReport:
     """Volume product and isotropy-constant identities for one p-ball.
 
+    phi is phi(B_p^n) by the f-factor recursion (phi_pball), the value the
+    isotropy chain and identity are checked against.
     L_sq is the squared isotropy constant of the volume-normalized body:
     the second moment per direction after scaling to volume 1.  For a
     1-unconditional body both K and K° are isotropic in that position, which
@@ -109,6 +115,7 @@ class IsotropyReport:
 
     dim: int
     p: float
+    phi: float
     L_sq: float
     L_polar_sq: float
     santalo_product: float
@@ -126,6 +133,41 @@ def dual_exponent(p) -> ExponentPair:
     return ExponentPair(p, p / (p - 1.0))
 
 
+def _tabled_f(pair: ExponentPair, ts):
+    """f(y1, y2, p) as a function of (y1, y2), for y1, y2, y1+2, y2+2 in ts.
+
+    The one log-f expression behind f_factor and the recursion of
+    phi_pball: 2 ln t, ln Gamma(t/p) and ln Gamma(t/q) are tabled once per
+    t in ts and the sum reads them in f_factor's fixed order.  At p in
+    {1, inf} f is the rational limit and nothing is tabled.
+    """
+    p, q = pair.p, pair.q
+    if p == 1.0 or math.isinf(p):
+        return lambda y1, y2: (y1 + 1.0) * (y1 + 2.0) / ((y2 + 1.0) * (y2 + 2.0))
+    ln2 = {t: 2.0 * math.log(t) for t in ts}
+    lgp = {t: log_gamma(t / p) for t in ts}
+    lgq = {t: log_gamma(t / q) for t in ts}
+
+    def f(y1, y2):
+        lf = (
+            ln2[y1 + 2]
+            + ln2[y2]
+            - ln2[y1]
+            - ln2[y2 + 2]
+            + lgp[y1 + 2]
+            + lgq[y1 + 2]
+            + lgp[y2]
+            + lgq[y2]
+            - lgp[y2 + 2]
+            - lgq[y2 + 2]
+            - lgp[y1]
+            - lgq[y1]
+        )
+        return math.exp(lf)
+
+    return f
+
+
 def f_factor(y1: float, y2: float, p) -> float:
     """Combination coefficient f(y1, y2, p) of the p-product formula.
 
@@ -138,25 +180,7 @@ def f_factor(y1: float, y2: float, p) -> float:
     y2 = float(y2)
     if not (0.0 < y1 < y2):
         raise DomainError(f"need 0 < y1 < y2, got y1={y1!r}, y2={y2!r}")
-    p = _check_p(p)
-    if p == 1.0 or math.isinf(p):
-        return (y1 + 1.0) * (y1 + 2.0) / ((y2 + 1.0) * (y2 + 2.0))
-    q = p / (p - 1.0)
-    lf = (
-        2.0 * math.log(y1 + 2.0)
-        + 2.0 * math.log(y2)
-        - 2.0 * math.log(y1)
-        - 2.0 * math.log(y2 + 2.0)
-        + log_gamma((y1 + 2.0) / p)
-        + log_gamma((y1 + 2.0) / q)
-        + log_gamma(y2 / p)
-        + log_gamma(y2 / q)
-        - log_gamma((y2 + 2.0) / p)
-        - log_gamma((y2 + 2.0) / q)
-        - log_gamma(y1 / p)
-        - log_gamma(y1 / q)
-    )
-    return math.exp(lf)
+    return _tabled_f(dual_exponent(p), (y1, y1 + 2.0, y2, y2 + 2.0))(y1, y2)
 
 
 def _log_volume(n: int, p: float) -> float:
@@ -197,14 +221,18 @@ def phi_pball(n: int, p) -> PhiBreakdown:
     phi_1 = 1/9 (the interval), then peeling one dimension per step:
     phi_k = f(k-1, k, p) phi_{k-1} + f(1, k, p) / 9.  At p = 2 this collapses
     algebraically to n/(n+2)^2.
+
+    Cost: 2(n+2) log-gammas, ln Gamma(j/p) and ln Gamma(j/q) for
+    j = 1..n+2 tabled once with 2 ln j (none at p in {1, inf}), plus O(n)
+    arithmetic.  The terms are summed in f_factor's order, so phi is
+    bit-identical to running the recursion with f_factor at every step.
     """
     n = _check_dim(n)
     pair = dual_exponent(p)
+    f = _tabled_f(pair, range(1, n + 3))
     phi = PHI_INTERVAL
     for k in range(2, n + 1):
-        phi = f_factor(k - 1.0, float(k), pair.p) * phi + f_factor(
-            1.0, float(k), pair.p
-        ) * PHI_INTERVAL
+        phi = f(k - 1, k) * phi + f(1, k) * PHI_INTERVAL
     lv = _log_volume(n, pair.p)
     lw = _log_volume(n, pair.q)
     return PhiBreakdown(
@@ -290,6 +318,7 @@ def inequality_report(
     report = IsotropyReport(
         dim=n,
         p=pair.p,
+        phi=phi,
         L_sq=L_sq,
         L_polar_sq=L_polar_sq,
         santalo_product=santalo,

@@ -228,7 +228,7 @@ def test_criterion_8_inequality_reports():
         ball_product = ball.volume * ball.polar_volume
         for p in grid:
             rep = pp.inequality_report(n, p)  # raises on violation already
-            phi = pp.phi_pball(n, p).phi
+            phi = rep.phi
             worst_santalo = max(worst_santalo, (rep.santalo_product - ball_product) / ball_product)
             worst_chain = max(worst_chain, (rep.lower_bound - phi) / phi)
             worst_ident = max(worst_ident, rep.identity_residual / phi)

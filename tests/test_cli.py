@@ -7,6 +7,8 @@ import math
 import subprocess
 import sys
 
+from polarphi import cli
+
 PY = [sys.executable, "-m", "polarphi.cli"]
 
 
@@ -169,6 +171,31 @@ def test_revolution_command():
     assert run_cli("revolution", "--profile", "ball", "--dim", "1").returncode == 2
     # the moments are exact, so there is no quadrature tolerance to set
     assert run_cli("revolution", "--profile", "ball", "--dim", "3", "--tol-quad", "1e-9").returncode == 2
+
+
+def test_parser_reused_across_calls(capsys):
+    # one cached parser must answer each argv as a fresh process does: the
+    # csv format and the moments method must not leak into later calls
+    assert cli.build_parser() is cli.build_parser()
+    argvs = (
+        ["--format", "csv", "scan", "--dim", "3"],
+        ["phi", "exact", "--dim", "3", "--p", "1.5", "--method", "moments"],
+        ["phi", "exact", "--dim", "3", "--p", "1.5", "--method", "bogus"],
+        ["phi", "exact", "--dim", "3", "--p", "1.5"],
+    )
+    codes = []
+    for argv in argvs:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        got = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert codes[-1] == fresh.returncode, argv
+        assert got.out == fresh.stdout, argv
+        assert got.err == fresh.stderr, argv
+    assert codes == [0, 0, 2, 0]
+    assert json.loads(got.out)[0]["method"] == "f"
 
 
 def test_console_script_installed():

@@ -15,6 +15,7 @@ Everything else cross-checks two independent code paths against each other
 the closed forms against mpmath and the slice recursion for the volume.
 """
 
+import json
 import math
 
 import mpmath
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarphi import cli
 from polarphi.errors import DomainError, VerificationError
 from polarphi.exact import (
     PHI_INTERVAL,
@@ -35,6 +37,7 @@ from polarphi.exact import (
     phi_pball,
     phi_via_moments,
 )
+from polarphi.harness import default_p_grid
 
 FINITE_PS = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0)
 ALL_PS = FINITE_PS + (math.inf,)
@@ -77,6 +80,29 @@ def test_cross_polytope_small_dims():
     # and the cube matches by duality
     assert abs(phi_pball(2, math.inf).phi - 1.0 / 9.0) <= 1e-13
     assert abs(phi_pball(3, math.inf).phi - 1.0 / 10.0) <= 1e-13
+
+
+def test_tabled_recursion_is_bit_identical(f_factor_loop, capsys):
+    # the log-gamma table must not move a single bit against f_factor per step
+    grid = default_p_grid()
+    at_200 = {}
+    for n in (1, 2, 3, 5, 10, 50, 200):
+        for p in grid:
+            ref = f_factor_loop(n, p)
+            assert phi_pball(n, p).phi == ref, (n, p)
+            if n == 200:
+                at_200[p] = ref
+    assert cli.main(["scan", "--dim", "200"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows == [
+        {
+            "dim": 200,
+            "p": "inf" if math.isinf(p) else p,
+            "phi": at_200[p],
+            "margin": at_200[p] - at_200[2.0],
+        }
+        for p in grid
+    ]
 
 
 def test_volumes_small():
