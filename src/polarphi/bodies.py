@@ -108,8 +108,6 @@ class LinearImage:
     matrix: np.ndarray
     inner: object
     inverse: np.ndarray = field(repr=False, default=None)
-    op_norm: float = 0.0
-    cond: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -187,13 +185,7 @@ def make_linear_image(matrix, inner) -> LinearImage:
     if smin == 0.0 or smax / smin > _COND_LIMIT:
         cond = math.inf if smin == 0.0 else smax / smin
         raise DomainError(f"matrix is numerically singular (condition {cond:.3e})")
-    return LinearImage(
-        matrix=T,
-        inner=inner,
-        inverse=np.linalg.inv(T),
-        op_norm=smax,
-        cond=smax / smin,
-    )
+    return LinearImage(matrix=T, inner=inner, inverse=np.linalg.inv(T))
 
 
 # ---------------------------------------------------------------------------

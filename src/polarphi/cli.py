@@ -10,8 +10,9 @@ Subcommands:
     polarphi revolution --profile SPEC --dim N [--diagnostics]
 
 Reports go to stdout as JSON (default) or CSV (--format csv); both encodings
-carry identical numeric values (floats are printed with 17 significant
-digits, which round-trips float64 exactly).  Diagnostics go to stderr.
+carry identical numeric values (JSON prints each float's shortest
+round-tripping repr, CSV 17 significant digits; both round-trip float64
+exactly).  Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input.
 Errors print a single machine-parsable line `error: <reason>: <detail>` on
@@ -100,14 +101,8 @@ def _emit(records, fmt, stream=None) -> None:
     if not records:
         return
     if fmt == "json":
-        doc = [
-            {
-                k: (float(_fmt(v)) if isinstance(v, float) else v)
-                for k, v in rec.items()
-            }
-            for rec in records
-        ]
-        json.dump(doc, stream, separators=(", ", ": "), allow_nan=False)
+        # repr is the shortest round-tripping form of every finite double
+        json.dump(records, stream, separators=(", ", ": "), allow_nan=False)
         stream.write("\n")
     else:
         writer = csv.writer(stream, lineterminator="\n")
@@ -205,62 +200,56 @@ def _cmd_scan(args):
     return records, report.passed
 
 
+def _rel(a, b):
+    return abs(a - b) / max(abs(a), 1e-300)
+
+
+def _residual_rows(check, cases, tol):
+    """One record per (dim, p, a, b) case: the relative residual of b against a."""
+    rows = []
+    for n, p, a, b in cases:
+        resid = _rel(a, b)
+        rows.append(
+            {
+                "check": check,
+                "dim": n,
+                "p": _p_field(p),
+                "residual": resid,
+                "tolerance": tol,
+                "status": "pass" if resid <= tol else "fail",
+            }
+        )
+    return rows
+
+
 def _cmd_verify_theorem(args):
-    records = []
-    ok = True
-    for n, m in _VERIFY_DIM_PAIRS:
-        for p in _VERIFY_PS_ALL:
-            whole = phi_pball(n + m, p).phi
-            combined = phi_combine(phi_pball(n, p).phi, n, phi_pball(m, p).phi, m, p)
-            resid = abs(whole - combined) / max(abs(whole), 1e-300)
-            passed = resid <= args.tol_match
-            ok &= passed
-            records.append(
-                {
-                    "check": "product-decomposition",
-                    "dim": n + m,
-                    "p": _p_field(p),
-                    "residual": resid,
-                    "tolerance": args.tol_match,
-                    "status": "pass" if passed else "fail",
-                }
-            )
-    for n in (2, 3, 5, 10, 20):
-        for p in _VERIFY_PS_ALL:
-            a = phi_pball(n, p).phi
-            b = phi_via_moments(n, p).phi
-            resid = abs(a - b) / max(abs(a), 1e-300)
-            passed = resid <= args.tol_match
-            ok &= passed
-            records.append(
-                {
-                    "check": "recursion-vs-moments",
-                    "dim": n,
-                    "p": _p_field(p),
-                    "residual": resid,
-                    "tolerance": args.tol_match,
-                    "status": "pass" if passed else "fail",
-                }
-            )
-    for n in (2, 3, 5, 10, 20):
-        for p in _VERIFY_PS_ALL:
-            q = dual_exponent(p).q
-            a = phi_pball(n, p).phi
-            b = phi_pball(n, q).phi
-            resid = abs(a - b) / max(abs(a), 1e-300)
-            passed = resid <= args.tol_duality
-            ok &= passed
-            records.append(
-                {
-                    "check": "duality",
-                    "dim": n,
-                    "p": _p_field(p),
-                    "residual": resid,
-                    "tolerance": args.tol_duality,
-                    "status": "pass" if passed else "fail",
-                }
-            )
-    return records, ok
+    dims = (2, 3, 5, 10, 20)
+    combined = (
+        (
+            n + m,
+            p,
+            phi_pball(n + m, p).phi,
+            phi_combine(phi_pball(n, p).phi, n, phi_pball(m, p).phi, m, p),
+        )
+        for n, m in _VERIFY_DIM_PAIRS
+        for p in _VERIFY_PS_ALL
+    )
+    moments = (
+        (n, p, phi_pball(n, p).phi, phi_via_moments(n, p).phi)
+        for n in dims
+        for p in _VERIFY_PS_ALL
+    )
+    dual = (
+        (n, p, phi_pball(n, p).phi, phi_pball(n, dual_exponent(p).q).phi)
+        for n in dims
+        for p in _VERIFY_PS_ALL
+    )
+    records = (
+        _residual_rows("product-decomposition", combined, args.tol_match)
+        + _residual_rows("recursion-vs-moments", moments, args.tol_match)
+        + _residual_rows("duality", dual, args.tol_duality)
+    )
+    return records, all(rec["status"] == "pass" for rec in records)
 
 
 def _cmd_verify_harness(args):
@@ -273,7 +262,7 @@ def _cmd_verify_harness(args):
         records.append(
             {
                 "check": rep.description,
-                "points": len(rep.grid),
+                "points": len(rep.values),
                 "violations": len(rep.violations),
                 "max_residual": float(rep.max_residual),
                 "tolerance": float(rep.tolerance),

@@ -215,6 +215,19 @@ def pball_moment2(n: int, p) -> float:
     return math.exp(_log_volume(n, p) + _log_r(n, p))
 
 
+def _breakdown(n: int, pair: ExponentPair, phi: float) -> PhiBreakdown:
+    """The record of phi(B_p^n): both closed-form volumes, I = phi |K| |K°|."""
+    lv = _log_volume(n, pair.p)
+    lw = _log_volume(n, pair.q)
+    return PhiBreakdown(
+        dim=n,
+        volume=math.exp(lv),
+        polar_volume=math.exp(lw),
+        cross_integral=phi * math.exp(lv + lw),
+        phi=phi,
+    )
+
+
 def phi_pball(n: int, p) -> PhiBreakdown:
     """phi(B_p^n) by the f-factor recursion (route one).
 
@@ -233,15 +246,7 @@ def phi_pball(n: int, p) -> PhiBreakdown:
     phi = PHI_INTERVAL
     for k in range(2, n + 1):
         phi = f(k - 1, k) * phi + f(1, k) * PHI_INTERVAL
-    lv = _log_volume(n, pair.p)
-    lw = _log_volume(n, pair.q)
-    return PhiBreakdown(
-        dim=n,
-        volume=math.exp(lv),
-        polar_volume=math.exp(lw),
-        cross_integral=phi * math.exp(lv + lw),
-        phi=phi,
-    )
+    return _breakdown(n, pair, phi)
 
 
 def phi_via_moments(n: int, p) -> PhiBreakdown:
@@ -249,20 +254,11 @@ def phi_via_moments(n: int, p) -> PhiBreakdown:
 
     R(n, p) = E x_1^2 = B(3/p, (n-1)/p + 1) / B(1/p, (n-1)/p + 1), and
     R(n, inf) = 1/3, so every exponent in [1, inf] is covered.  The volumes
-    and the pairing integral come from the same logs.
+    and the pairing integral come from the same logs as in phi_pball.
     """
     n = _check_dim(n)
     pair = dual_exponent(p)
-    lv = _log_volume(n, pair.p)
-    lw = _log_volume(n, pair.q)
-    phi = n * math.exp(_log_r(n, pair.p) + _log_r(n, pair.q))
-    return PhiBreakdown(
-        dim=n,
-        volume=math.exp(lv),
-        polar_volume=math.exp(lw),
-        cross_integral=phi * math.exp(lv + lw),
-        phi=phi,
-    )
+    return _breakdown(n, pair, n * math.exp(_log_r(n, pair.p) + _log_r(n, pair.q)))
 
 
 def phi_combine(phiA: float, n: int, phiB: float, m: int, p) -> float:

@@ -63,9 +63,12 @@ def default_p_grid() -> list:
 class GridReport:
     """Outcome of one grid verification sweep.
 
-    violations holds (point, value) pairs that breached the asserted sign,
-    monotonicity, or residual bound; max_residual is the worst observed
-    finite-difference mismatch (or margin toward violation, for sign sweeps).
+    values holds one entry per check: phi at each exponent for the argmax
+    scan, the margin toward violation for the sign sweep, the relative
+    residual for the finite-difference identities.  violations holds
+    (point, value) pairs that breached the asserted sign, monotonicity, or
+    residual bound; max_residual is the worst observed finite-difference
+    mismatch (or margin toward violation, for sign sweeps).
     A passing report has no violations and max_residual <= tolerance.
     """
 
@@ -192,8 +195,13 @@ def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
     xs = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
     ys = default_y_grid() if y_grid is None else np.asarray(y_grid, dtype=float)
     pairs = DEFAULT_PAIR_GRID if pair_grid is None else tuple(pair_grid)
+    margins = []  # one per check: the signed distance to a violation
     violations = []
-    worst = -math.inf
+
+    def note(point, margin, value):
+        margins.append(margin)
+        if margin >= -TIE_EPS:
+            violations.append((point, value))
 
     # ln f1 strictly increasing on (0, 1/2)
     left = [x for x in xs if x < 0.5 - 1e-9]
@@ -201,9 +209,7 @@ def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
         vals = [math.log(f1_eval(x, y1, y2)) for x in left]
         for i in range(len(vals) - 1):
             d = vals[i + 1] - vals[i]
-            worst = max(worst, -d)
-            if d <= TIE_EPS:
-                violations.append((("lnf1", y1, y2, left[i], left[i + 1]), d))
+            note(("lnf1", y1, y2, left[i], left[i + 1]), -d, d)
 
     # F strictly decreasing in y for x < 1/2 (and, by the antisymmetry of F
     # about x = 1/2, strictly increasing for x > 1/2; at 1/2 it is identically
@@ -215,18 +221,14 @@ def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
         sign = 1.0 if x < 0.5 else -1.0
         for j in range(len(fvals) - 1):
             d = sign * (fvals[j + 1] - fvals[j])  # must be strictly negative
-            worst = max(worst, d)
-            if d >= -TIE_EPS:
-                violations.append((("F_mono", x, ys[j], ys[j + 1]), d))
+            note(("F_mono", x, ys[j], ys[j + 1]), d, d)
 
     # dH/dy > 0
     for x in xs:
         for y in ys:
             h = 1e-5 * max(1.0, y)
             d = (H_eval(x, y + h) - H_eval(x, y - h)) / (2.0 * h)
-            worst = max(worst, -d)
-            if d <= TIE_EPS:
-                violations.append((("dHdy", x, y), d))
+            note(("dHdy", x, y), -d, d)
 
     # G sign split about 1/2
     for x in xs:
@@ -234,24 +236,21 @@ def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
             continue
         for y in ys:
             g = G_eval(x, y)
-            signed = g if x < 0.5 else -g  # must be strictly negative
-            worst = max(worst, signed)
-            if signed >= -TIE_EPS:
-                violations.append((("G_sign", x, y), g))
+            # g must be strictly negative on the left half, positive on the right
+            note(("G_sign", x, y), g if x < 0.5 else -g, g)
 
     # convexity of x^2 psi'(x)
     for x in np.geomspace(0.01, 100.0, 201):
         c = xsq_trigamma_convexity(float(x))
-        worst = max(worst, -c)
-        if c <= TIE_EPS:
-            violations.append((("convexity", float(x)), c))
+        note(("convexity", float(x)), -c, c)
 
     return GridReport(
         description="sign/monotonicity sweep (lnf1, F, dH/dy, G sign, convexity)",
         grid=[("x", len(xs)), ("y", len(ys)), ("pairs", len(pairs))],
-        values=[],
+        values=margins,
         violations=violations,
-        max_residual=worst,  # closest approach to a violation (<= -1e-12 passes)
+        # closest approach to a violation (<= -1e-12 passes)
+        max_residual=max(margins, default=-math.inf),
         tolerance=-TIE_EPS,
     )
 
@@ -278,12 +277,11 @@ def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
       * f1(x) = f1(1-x), G(x,y) = -G(1-x,y), H(x,y) = H(1-x,y)
     """
     xs = _fd_x_grid()
+    residuals = []  # one relative residual per check
     violations = []
-    worst = 0.0
 
     def note(tag, point, rel):
-        nonlocal worst
-        worst = max(worst, rel)
+        residuals.append(rel)
         if rel > tolerance:
             violations.append(((tag,) + tuple(point), rel))
 
@@ -339,8 +337,8 @@ def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
     return GridReport(
         description="finite-difference identities and exact symmetries",
         grid=[("x", len(xs)), ("y", len(_FD_Y_GRID))],
-        values=[],
+        values=residuals,
         violations=violations,
-        max_residual=worst,
+        max_residual=max(residuals, default=0.0),
         tolerance=tolerance,
     )

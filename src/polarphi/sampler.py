@@ -168,15 +168,10 @@ def _pball_rows(bases, n, p, slot):
     return out
 
 
-def _sample_pball_indices(n, p, seed, indices):
-    """Uniform points in the unit p-ball, one row per sample index."""
-    return _pball_rows(sample_bases_v(seed, indices), n, p, 0)
-
-
 def sample_pball(dim, p, count, seed, *, index_offset=0):
     """count uniform points in the unit p-ball (sample indices offset..)."""
     indices = np.arange(index_offset, index_offset + count, dtype=np.uint64)
-    return _sample_pball_indices(dim, p, seed, indices)
+    return _dispatch_sample(PBall(dim, p), seed, indices)
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,8 @@ def test_verify_harness():
     rows = json.loads(res.stdout)
     assert len(rows) == 7
     assert all(r["status"] == "pass" for r in rows)
+    # one point per check the sweep makes, not per grid axis
+    assert [r["points"] for r in rows] == [10_279, 514] + [66] * 5
 
 
 def test_verify_respects_tolerance_flags():

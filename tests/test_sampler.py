@@ -43,7 +43,6 @@ from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
     MCEstimate,
     _dispatch_sample,
-    _sample_pball_indices,
     estimate_phi,
     sample_bases_v,
     sample_body,
@@ -141,11 +140,11 @@ def test_lane_bookkeeping_follows_rows():
     idx = np.arange(3000, dtype=np.uint64)
     run = np.arange(10**6, 10**6 + 9000, dtype=np.uint64)
     for p in (1.25, 3.0, 50.0):
-        ref = _sample_pball_indices(4, p, 606, idx)
-        assert np.array_equal(_sample_pball_indices(4, p, 606, idx[perm]), ref[perm]), p
+        ref = _dispatch_sample(PBall(4, p), 606, idx)
+        assert np.array_equal(_dispatch_sample(PBall(4, p), 606, idx[perm]), ref[perm]), p
         # a non-contiguous index set: every third index from 10^6
-        every_third = _sample_pball_indices(4, p, 606, run[::3])
-        assert np.array_equal(every_third, _sample_pball_indices(4, p, 606, run)[::3]), p
+        every_third = _dispatch_sample(PBall(4, p), 606, run[::3])
+        assert np.array_equal(every_third, _dispatch_sample(PBall(4, p), 606, run)[::3]), p
 
 
 # float.hex of (estimate, stderr) for estimate_phi(PBall(n, p), 20_000, 2024),
@@ -208,7 +207,7 @@ def test_vectorized_sampler_matches_scalar_reference():
         # uint64 arithmetic wraps modulo 2^64 by design; numpy scalars warn on it
         with np.errstate(over="ignore"):
             _fill_pball_reference(out, 77, idx, float(p))
-        vec = _sample_pball_indices(n, p, 77, idx)
+        vec = _dispatch_sample(PBall(n, p), 77, idx)
         assert np.abs(out - vec).max() <= 1e-12, (n, p)
 
 

@@ -81,7 +81,7 @@ def test_against_mpmath_grid():
         assert abs(log_gamma(x) - ref) <= 2e-15 * max(1.0, abs(ref)), x
         for k, fn in enumerate((digamma, trigamma, tetragamma, pentagamma)):
             ref = float(mpmath.psi(k, x))
-            assert abs(fn(x) - ref) <= 1e-12 * max(1.0, abs(ref)), (k, x)
+            assert abs(fn(x) - ref) <= 2e-15 * max(1.0, abs(ref)), (k, x)
 
 
 def test_recurrences_on_log_grid():
