@@ -53,6 +53,7 @@ EXIT_INVALID = 2
 
 DIM_CAP_EXACT = 200
 
+_VERIFY_DIMS = (2, 3, 5, 10, 20)
 _VERIFY_DIM_PAIRS = ((1, 1), (1, 2), (2, 3), (3, 5), (5, 10))
 _VERIFY_PS_ALL = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
 
@@ -223,25 +224,21 @@ def _residual_rows(check, cases, tol):
 
 
 def _cmd_verify_theorem(args):
-    dims = (2, 3, 5, 10, 20)
+    # the three checks share phi(B_p^n): evaluate each (n, p) once per command
+    phi = functools.cache(lambda n, p: phi_pball(n, p).phi)
     combined = (
-        (
-            n + m,
-            p,
-            phi_pball(n + m, p).phi,
-            phi_combine(phi_pball(n, p).phi, n, phi_pball(m, p).phi, m, p),
-        )
+        (n + m, p, phi(n + m, p), phi_combine(phi(n, p), n, phi(m, p), m, p))
         for n, m in _VERIFY_DIM_PAIRS
         for p in _VERIFY_PS_ALL
     )
     moments = (
-        (n, p, phi_pball(n, p).phi, phi_via_moments(n, p).phi)
-        for n in dims
+        (n, p, phi(n, p), phi_via_moments(n, p).phi)
+        for n in _VERIFY_DIMS
         for p in _VERIFY_PS_ALL
     )
     dual = (
-        (n, p, phi_pball(n, p).phi, phi_pball(n, dual_exponent(p).q).phi)
-        for n in dims
+        (n, p, phi(n, p), phi(n, dual_exponent(p).q))
+        for n in _VERIFY_DIMS
         for p in _VERIFY_PS_ALL
     )
     records = (
@@ -275,7 +272,7 @@ def _cmd_verify_harness(args):
 def _cmd_verify_inequalities(args):
     records = []
     ok = True
-    for n in (2, 3, 5, 10, 20):
+    for n in _VERIFY_DIMS:
         ball_product = inequality_report(n, 2.0, check=False).santalo_product
         for p in _VERIFY_PS_ALL:
             rep = inequality_report(n, p, check=False)

@@ -151,6 +151,44 @@ def test_verify_harness():
     assert [r["points"] for r in rows] == [10_279, 514] + [66] * 5
 
 
+def test_verify_theorem_evaluates_each_pair_once(monkeypatch, capsys):
+    # reference: every row recomputes phi(B_p^n), as without a memo
+    exact = cli.phi_pball
+    dims = cli._VERIFY_DIMS
+    ps = cli._VERIFY_PS_ALL
+    ref = (
+        cli._residual_rows(
+            "product-decomposition",
+            (
+                (n + m, p, exact(n + m, p).phi,
+                 cli.phi_combine(exact(n, p).phi, n, exact(m, p).phi, m, p))
+                for n, m in cli._VERIFY_DIM_PAIRS for p in ps
+            ),
+            1e-10,
+        )
+        + cli._residual_rows(
+            "recursion-vs-moments",
+            ((n, p, exact(n, p).phi, cli.phi_via_moments(n, p).phi) for n in dims for p in ps),
+            1e-10,
+        )
+        + cli._residual_rows(
+            "duality",
+            ((n, p, exact(n, p).phi, exact(n, cli.dual_exponent(p).q).phi)
+             for n in dims for p in ps),
+            1e-12,
+        )
+    )
+    calls = []
+    monkeypatch.setattr(cli, "phi_pball", lambda n, p: calls.append((n, p)) or exact(n, p))
+    for fmt in ("json", "csv"):
+        calls.clear()
+        assert cli.main(["--format", fmt, "verify", "theorem"]) == 0
+        assert len(calls) == len(set(calls)) == 79
+        out = capsys.readouterr().out
+        cli._emit(ref, fmt)
+        assert out == capsys.readouterr().out, fmt
+
+
 def test_verify_respects_tolerance_flags():
     res = run_cli("verify", "theorem", "--tol-match", "0")
     assert res.returncode == 1  # roundoff alone must now register as violation

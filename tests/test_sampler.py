@@ -17,6 +17,7 @@ agreeing to roundoff with a one-sample-at-a-time reference.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from polarphi.bodies import (
     make_linear_image,
     membership_batch,
     parse_body,
+    polar_body,
     resolve_side,
 )
 from polarphi.errors import DomainError
@@ -41,6 +43,7 @@ from polarphi.exact import phi_pball
 from polarphi.revolution import phi_revolution
 from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
+    _BLOCK,
     MCEstimate,
     _dispatch_sample,
     estimate_phi,
@@ -369,6 +372,38 @@ def test_stderr_definition():
     vals = np.einsum("ij,ij->i", x, y) ** 2
     assert est.estimate == float(np.mean(vals))
     assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(5000))
+
+
+def test_blocked_estimate_matches_whole_array():
+    # the test_stderr_definition recipe over the whole index range, on a
+    # count whose blocks do not start at multiples of _BLOCK
+    samples = 2 * _BLOCK + 123
+    idx = np.arange(samples, dtype=np.uint64)
+    bodies = [
+        PBall(3, 1.5),
+        parse_body({"type": "product", "p": 2, "left": {"type": "pball", "dim": 2, "p": 1},
+                    "right": {"type": "simplex", "dim": 2}}),
+        parse_body({"type": "revolution", "dim": 3, "profile": README_GRID}),
+    ]
+    for body in bodies:
+        primal = resolve_side(body, PRIMAL)
+        x = _dispatch_sample(primal, 9, 2 * idx)
+        y = _dispatch_sample(polar_body(primal), 9, 2 * idx + 1)
+        vals = np.einsum("ij,ij->i", x, y) ** 2
+        est = estimate_phi(body, samples, 9)
+        assert est.estimate == float(np.mean(vals)), body
+        assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(samples)), body
+
+
+def test_estimate_memory_is_bounded():
+    # only the 8-byte <x, y>^2 per sample may grow with the sample count
+    peaks = []
+    for blocks in (2, 8):
+        tracemalloc.start()
+        estimate_phi(PBall(3, 1.5), blocks * _BLOCK, 4)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, peaks
 
 
 def test_ill_conditioned_ellipses_estimate_one_eighth():
