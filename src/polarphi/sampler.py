@@ -1,17 +1,19 @@
 """Monte Carlo estimation of the polar pairing functional.
 
-The estimator draws M independent pairs (x_i, y_i) with x_i uniform in the
-body and y_i uniform in its polar, and averages <x_i, y_i>^2.  No variance
-reduction is applied; the reported standard error is the plain sample
-standard deviation over sqrt(M), so the estimate +/- a few stderr is an
-honest confidence interval.
+phi(K) = tr(M_K M_K°) with M_K = E[x x^T] for x uniform in K.  The
+estimator draws M independent points x_i uniform in the body and y_i
+uniform in its polar, and returns tr(S_x S_y) with S = (1/M) sum x x^T: the
+mean of <x_i, y_j>^2 over all M^2 pairs, unbiased because S_x and S_y are
+independent.  The standard error comes from the two Hoeffding projections
+(Hoeffding 1948), evaluated on G = 64 equal groups of sample indices, so the
+estimate +/- a few stderr is an honest confidence interval.
 
 Streams are counter-based (see rng): pair i reads sample index 2i for x and
 2i + 1 for y, and every uniform is a pure function of (seed, sample index,
 slot, counter).  Results are therefore bit-identical however the work is
-batched, and the estimator draws its pairs in blocks of about 32,768
-indices, keeping only <x_i, y_i>^2: memory is O(block * n) plus 8 bytes per
-sample.
+batched.  The estimator draws its pairs in blocks of about 32,768 indices
+and keeps only each group's sums of x x^T and y y^T: memory is
+O(block * n + G * n^2), with no term in the sample count.
 
 Every body type has an exact rule, an array kernel over the sample indices:
 
@@ -60,12 +62,15 @@ the root keeps the layout it always had, so its bits are unchanged.
 
 The GS kernel is vectorized over samples: each coordinate runs its rounds
 on the lanes (one sample's draw for that coordinate) still rejecting,
-compacting the accepted ones out after every round, so uniforms are drawn
-only where they are used.  Each branch of a round is evaluated only on the
-lanes it applies to.  A lane's round k reads counters (2k, 2k + 1) of its
-own slot whatever the other lanes do.
+compacting the accepted ones out after every round.  Once few lanes remain,
+they run several rounds at once and keep their first accepted one, so the
+tail of a coordinate costs a few array calls, not one round each.  Each
+branch of a round is evaluated only on the candidates it applies to.  A
+lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
+other lanes do.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -104,11 +109,23 @@ class MCEstimate:
 # ---------------------------------------------------------------------------
 
 
+def _rounds(lanes):
+    """Rejection rounds drawn at once for this many lanes still rejecting.
+
+    One round while more than 2,048 lanes remain, then 4096 // lanes rounds
+    (at most 64), so a coordinate or a grid draw does not pay a full round's
+    Python overhead for a handful of lanes.
+    """
+    return max(1, min(4096 // lanes, 64))
+
+
 def _gamma_gs(bases, p, slot, k):
     """(g, |g|^(1/p)) as (m, k) arrays: Gamma(1/p) draws on slots slot..slot+k-1.
 
     p = 1 is one exponential per coordinate; otherwise Ahrens-Dieter GS
     with lane compaction, returning the exact magnitude from each branch.
+    Lanes still rejecting run _rounds(lanes) rounds at once and keep their
+    first accepted round r, read at counters (2r, 2r + 1).
     """
     m = bases.shape[0]
     gs = np.empty((m, k))
@@ -125,29 +142,40 @@ def _gamma_gs(bases, p, slot, k):
         act = np.arange(m)  # rows still rejecting in this coordinate
         r = 0
         while act.size:
-            lane_bases = bases[act]
-            q = b * u01_v(lane_bases, sj, r)
-            u2 = u01_v(lane_bases, sj, r + 1)
-            r += 2
-            acc = np.empty(act.size, dtype=bool)
+            rounds = _rounds(act.size)
+            # candidate c is lane lanes[c] at counters (ks[c], ks[c] + 1); a
+            # one-round batch uses act and a scalar counter, with no copies
+            lanes, ks = act, np.uint64(2 * r)
+            if rounds > 1:
+                lanes = np.repeat(act, rounds)
+                ks = np.tile(np.arange(2 * r, 2 * (r + rounds), 2, dtype=np.uint64), act.size)
+            r += rounds
+            lane_bases = bases[lanes]
+            q = b * u01_v(lane_bases, sj, ks)
+            u2 = u01_v(lane_bases, sj, ks + 1)
             small = np.nonzero(q <= 1.0)[0]
             big = np.nonzero(q > 1.0)[0]
             # small branch: g = q^p, magnitude q exactly (no p-th root underflow)
             g_small = q[small] ** p
-            ok = u2[small] <= np.exp(-g_small)
-            acc[small] = ok
-            rows = act[small[ok]]
-            gs[rows, j] = g_small[ok]
-            mags[rows, j] = q[small[ok]]
+            ok_small = u2[small] <= np.exp(-g_small)
             # big branch: g = -log((b - q) / a)
             g_big = -np.log((b - q[big]) * p)
             log_g = np.log(g_big)
-            ok = u2[big] <= np.exp((a - 1.0) * log_g)
-            acc[big] = ok
-            rows = act[big[ok]]
-            gs[rows, j] = g_big[ok]
-            mags[rows, j] = np.exp(a * log_g[ok])
-            act = act[~acc]
+            ok_big = u2[big] <= np.exp((a - 1.0) * log_g)
+            acc = np.empty(q.size, dtype=bool)
+            acc[small] = ok_small
+            acc[big] = ok_big
+            acc = acc.reshape(act.size, rounds)
+            if rounds > 1:  # a lane keeps only its first accepted round
+                acc &= np.cumsum(acc, axis=1) == 1
+                ok_small, ok_big = acc.ravel()[small], acc.ravel()[big]
+            rows = lanes[small[ok_small]]
+            gs[rows, j] = g_small[ok_small]
+            mags[rows, j] = q[small[ok_small]]
+            rows = lanes[big[ok_big]]
+            gs[rows, j] = g_big[ok_big]
+            mags[rows, j] = np.exp(a * log_g[ok_big])
+            act = act[~acc.any(axis=1)]
     return gs, mags
 
 
@@ -257,8 +285,8 @@ def _cylinder_rows(bases, n, slot, ks):
 def _sample_reject_indices(body, bases, slot):
     """Grid revolution: rejection from the cylinder, round k at counter k.
 
-    Lanes still rejecting run up to 4096 // lanes rounds at once (at least
-    one, at most 64), and each keeps its first accepted round.
+    Lanes still rejecting run _rounds(lanes) rounds at once, and each keeps
+    its first accepted round.
     """
     n = body.dim
     count = bases.shape[0]
@@ -267,7 +295,7 @@ def _sample_reject_indices(body, bases, slot):
     k = 0
     while remaining.size:
         act = remaining.size
-        rounds = max(1, min(4096 // act, 64))
+        rounds = _rounds(act)
         ks = np.arange(k, k + rounds, dtype=np.uint64)[None, :]
         k += rounds
         cand = _cylinder_rows(bases[remaining][:, None], n, slot, ks)
@@ -317,35 +345,59 @@ def _dispatch_sample(resolved, seed, indices):
 
 # pairs per block, in rows whatever the dimension, so each block's
 # per-coordinate Python loops stay a fixed share of its work.  The samples
-# split into round(samples / _BLOCK) equal blocks, so no block exceeds
-# 1.5 * _BLOCK rows and no short tail block pays those loops for a few rows.
+# split into round(samples / _BLOCK) blocks of about equal size, so no short
+# tail block pays those loops for a few rows.
 _BLOCK = 32_768
+# index groups of the stderr: enough for a stable variance of the group
+# projections, few enough that 2 * _GROUPS * n^2 doubles stay small
+_GROUPS = 64
 
 
 def estimate_phi(body, samples, seed) -> MCEstimate:
-    """Plain Monte Carlo for the normalized second moment of <x, y>.
+    """All-pairs Monte Carlo for phi(K) = tr(M_K M_K°), M_K = E[x x^T].
 
     Pair i draws x from the body at sample index 2i and y from its polar at
-    sample index 2i + 1; the estimate is the mean of <x, y>^2 with standard
-    error std / sqrt(samples) (ddof=1), summed in fixed pairwise order.
-    Pairs are drawn in equal blocks of about _BLOCK = 32,768 indices (at
-    most 49,152) and only <x, y>^2 is kept, so memory is O(block * n) plus
-    8 bytes per sample, and the result is bit-identical to drawing every
-    pair at once.
+    sample index 2i + 1.  With S_x = (1/M) sum_i x_i x_i^T and likewise S_y,
+    the estimate is tr(S_x S_y), the mean of <x_i, y_j>^2 over all M^2
+    pairs (i, j); S_x and S_y are independent, so it is unbiased.
+
+    The indices split into G = min(_GROUPS, M) equal groups, and only each
+    group's sums of x x^T and y y^T are kept.  The stderr comes from the two
+    Hoeffding projections: with group means Sbar^g, w_g = tr(Sbar_x^g S_y)
+    + tr(S_x Sbar_y^g), and stderr = sqrt(sum_g (w_g - wbar)^2 / (G(G-1))).
+    Pairs are drawn in blocks of about _BLOCK = 32,768 indices, each block
+    made of whole groups while there are at most G blocks, so memory is
+    O(block * n + G * n^2) with no term in M, and the result is
+    bit-identical to summing each group over all its draws at once.
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     primal = resolve_side(body, PRIMAL)
     polar = polar_body(primal)
-    vals = np.empty(samples)
+    n = primal.dim
+    groups = min(_GROUPS, samples)
+    edges = [g * samples // groups for g in range(groups + 1)]
     blocks = max(1, round(samples / _BLOCK))
-    for b in range(blocks):
-        start, stop = b * samples // blocks, (b + 1) * samples // blocks
+    if blocks <= groups:
+        cuts = [edges[b * groups // blocks] for b in range(blocks + 1)]
+    else:
+        cuts = [b * samples // blocks for b in range(blocks + 1)]
+    sx = np.zeros((groups, n, n))
+    sy = np.zeros((groups, n, n))
+    for start, stop in zip(cuts[:-1], cuts[1:]):
         idx = np.arange(start, stop, dtype=np.uint64)
         xs = _dispatch_sample(primal, seed, 2 * idx)
         ys = _dispatch_sample(polar, seed, 2 * idx + 1)
-        vals[start:stop] = np.einsum("ij,ij->i", xs, ys) ** 2
+        for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
+            rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
+            # np.dot: less call overhead than @ on these small products
+            sx[g] += np.dot(xs[rows].T, xs[rows])
+            sy[g] += np.dot(ys[rows].T, ys[rows])
         del xs, ys  # free this block's draws before the next block's
-    est = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
+    mx = sx.sum(axis=0) / samples
+    my = sy.sum(axis=0) / samples
+    est = float(np.einsum("ij,ji->", mx, my))
+    # w_g = tr(Sbar_x^g S_y) + tr(S_x Sbar_y^g), the group mean taken last
+    w = (np.einsum("gij,ji->g", sx, my) + np.einsum("ij,gji->g", mx, sy)) / np.diff(edges)
+    stderr = float(np.sqrt(np.sum((w - w.mean()) ** 2) / (groups * (groups - 1))))
     return MCEstimate(estimate=est, stderr=stderr, samples=int(samples), seed=int(seed))

@@ -58,6 +58,48 @@ def _f_factor_loop(n: int, p: float) -> float:
     return phi
 
 
+def _pball_moment(n: int, p: float, powers) -> float:
+    """E prod |x_i|^a_i for x uniform in B_p^n, a_i = powers (the rest 0).
+
+    The Dirichlet law of (|x_1|^p, ..., |x_n|^p, the radial share) gives
+    Gamma(1+n/p) / Gamma(1+(n+sum a)/p) * prod Gamma((1+a_i)/p) / Gamma(1/p),
+    and the cube's coordinates are independent uniforms: prod 1/(a_i+1).
+    """
+    if math.isinf(p):
+        return math.prod(1.0 / (a + 1.0) for a in powers)
+    log_m = math.lgamma(1.0 + n / p) - math.lgamma(1.0 + (n + sum(powers)) / p)
+    log_m += sum(math.lgamma((1.0 + a) / p) - math.lgamma(1.0 / p) for a in powers)
+    return math.exp(log_m)
+
+
+def _pball_variances(n: int, p: float):
+    """(V_pair, V_all): per-sample variances of the two phi estimators on B_p^n.
+
+    x is uniform in B_p^n and y in B_q^n, 1/p + 1/q = 1.  Only even index
+    patterns survive on these 1-unconditional bodies, so with m = E x_1^2:
+      V_pair = n E x_1^4 E y_1^4 + 3n(n-1) E x_1^2 x_2^2 E y_1^2 y_2^2 - phi^2
+    is Var <x, y>^2, and the all-pairs estimator tr(S_x S_y) has variance
+    V_all / M to leading order, V_all = m_q^2 Var|x|^2 + m_p^2 Var|y|^2 with
+    Var|x|^2 = n E x_1^4 + n(n-1) E x_1^2 x_2^2 - (n m_p)^2.
+    """
+    q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
+    sides = []
+    for r in (p, q):
+        sides.append((_pball_moment(n, r, (2,)), _pball_moment(n, r, (4,)),
+                      _pball_moment(n, r, (2, 2))))
+    (mp, x4, x22), (mq, y4, y22) = sides
+    phi = n * mp * mq
+    v_pair = n * x4 * y4 + 3 * n * (n - 1) * x22 * y22 - phi**2
+    var_x = n * x4 + n * (n - 1) * x22 - (n * mp) ** 2
+    var_y = n * y4 + n * (n - 1) * y22 - (n * mq) ** 2
+    return v_pair, mq**2 * var_x + mp**2 * var_y
+
+
+@pytest.fixture
+def pball_variances():
+    return _pball_variances
+
+
 @pytest.fixture
 def slice_volume():
     return _slice_volume

@@ -6,7 +6,14 @@ Distributional oracles (independent closed forms):
     E[sum_j |X_j|^p] = E[g^p] = n/(n+p);
   * coordinates are symmetric: every coordinate mean is 0;
   * estimates for p-balls and revolution bodies must bracket the exact phi
-    (closed form, or the exact revolution moments) within 4 stderr.
+    (closed form, or the exact revolution moments) within 4 stderr;
+  * on p-balls the Dirichlet moment formula gives the exact per-sample
+    variance V_all of the all-pairs estimator (conftest), so stderr^2 * M
+    is checked against it over fixed seeds, with the coverage of +/- 2
+    stderr;
+  * phi is linear invariant, and so is the estimator up to rounding: the
+    draws of T K are T times those of K, and S_{TK} = T S_K T^T,
+    S_{(TK)°} = T^{-T} S_{K°} T^{-1}.
 
 Structural contracts: counter-based determinism (prefix invariance, exact
 repeatability, rows that follow their sample indices under permutation and
@@ -24,6 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarphi import sampler
 from polarphi.bodies import (
     POLAR,
     PRIMAL,
@@ -151,12 +159,12 @@ def test_lane_bookkeeping_follows_rows():
 
 
 # float.hex of (estimate, stderr) for estimate_phi(PBall(n, p), 20_000, 2024),
-# recorded with the full-width GS kernel: a sampler rewrite that keeps the
-# counter layout must reproduce them bit for bit
+# recorded with the all-pairs estimator over 64 index groups: a sampler
+# rewrite that keeps the counter layout must reproduce them bit for bit
 PINNED_MC = {
-    (5, 3.0): ("0x1.9a5467ef640b6p-4", "0x1.d08fb577d3e3fp-11"),
-    (10, 1.25): ("0x1.0ba1022197cd3p-4", "0x1.36ebf0a826cf6p-11"),
-    (3, 1.5): ("0x1.e6b14d8e898a4p-4", "0x1.109e38db4be5bp-10"),
+    (5, 3.0): ("0x1.9dc8b52eb93c3p-4", "0x1.5c20f7c94ad83p-12"),
+    (10, 1.25): ("0x1.0c16134557a78p-4", "0x1.35351d5a9c312p-13"),
+    (3, 1.5): ("0x1.e3db247737d8ep-4", "0x1.1e4af07a3ff89p-11"),
 }
 
 
@@ -352,29 +360,51 @@ def test_exact_samplers_reach_exact_phi_in_high_dimension():
 
 
 def test_stderr_scaling():
-    e1 = estimate_phi(PBall(2, 2.0), 20_000, 3)
-    e2 = estimate_phi(PBall(2, 2.0), 80_000, 3)
-    ratio = e1.stderr / e2.stderr
+    # the 64-group stderr scatters by about 1 / sqrt(2 * 63) = 9 % from one
+    # seed to the next, so the ratio is taken between root mean squares over
+    # eight seeds, whose scatter is about 4.5 %
+    seeds = range(3, 11)
+    small = [estimate_phi(PBall(2, 2.0), 20_000, s).stderr ** 2 for s in seeds]
+    large = [estimate_phi(PBall(2, 2.0), 80_000, s).stderr ** 2 for s in seeds]
+    ratio = math.sqrt(sum(small) / sum(large))
     assert 1.7 <= ratio <= 2.3  # sqrt(4) = 2 up to sampling noise
+
+
+def _group_recipe(x, y):
+    """(estimate, stderr) of the all-pairs estimator from whole-array draws.
+
+    G = min(64, M) equal index groups; S_x, S_y are the sample second-moment
+    matrices, w_g = tr(Sbar_x^g S_y) + tr(S_x Sbar_y^g) with group means
+    Sbar^g, and stderr^2 = sum_g (w_g - wbar)^2 / (G (G - 1)).
+    """
+    m = len(x)
+    groups = min(64, m)
+    edges = [g * m // groups for g in range(groups + 1)]
+    spans = list(zip(edges[:-1], edges[1:]))
+    sx = np.stack([np.dot(x[a:b].T, x[a:b]) for a, b in spans])
+    sy = np.stack([np.dot(y[a:b].T, y[a:b]) for a, b in spans])
+    mx = sx.sum(axis=0) / m
+    my = sy.sum(axis=0) / m
+    est = float(np.einsum("ij,ji->", mx, my))
+    w = (np.einsum("gij,ji->g", sx, my) + np.einsum("ij,gji->g", mx, sy)) / np.diff(edges)
+    return est, float(np.sqrt(np.sum((w - w.mean()) ** 2) / (groups * (groups - 1))))
 
 
 def test_stderr_definition():
     est = estimate_phi(PBall(2, 2.0), 5000, 21)
-    xs = sample_body(PBall(2, 2.0), PRIMAL, 5000, 21)
     assert isinstance(est, MCEstimate)
     assert est.stderr > 0.0
     # manual recomputation: pair i = sample indices (2i, 2i+1)
     idx = np.arange(5000, dtype=np.uint64)
-    from polarphi.sampler import _dispatch_sample
-
     x = _dispatch_sample(PBall(2, 2.0), 21, 2 * idx)
     y = _dispatch_sample(PBall(2, 2.0), 21, 2 * idx + 1)
-    vals = np.einsum("ij,ij->i", x, y) ** 2
-    assert est.estimate == float(np.mean(vals))
-    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(5000))
+    assert (est.estimate, est.stderr) == _group_recipe(x, y)
+    # tr(S_x S_y) is the mean of <x_i, y_j>^2 over all pairs (i, j)
+    few = estimate_phi(PBall(2, 2.0), 500, 21)
+    assert few.estimate == pytest.approx(float(np.mean((x[:500] @ y[:500].T) ** 2)), rel=1e-12)
 
 
-def test_blocked_estimate_matches_whole_array():
+def test_blocked_estimate_matches_whole_array(monkeypatch):
     # the test_stderr_definition recipe over the whole index range, on a
     # count whose blocks do not start at multiples of _BLOCK
     samples = 2 * _BLOCK + 123
@@ -389,14 +419,23 @@ def test_blocked_estimate_matches_whole_array():
         primal = resolve_side(body, PRIMAL)
         x = _dispatch_sample(primal, 9, 2 * idx)
         y = _dispatch_sample(polar_body(primal), 9, 2 * idx + 1)
-        vals = np.einsum("ij,ij->i", x, y) ** 2
         est = estimate_phi(body, samples, 9)
-        assert est.estimate == float(np.mean(vals)), body
-        assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(samples)), body
+        assert (est.estimate, est.stderr) == _group_recipe(x, y), body
+    # more blocks than groups: a group's sums then add up over several blocks
+    monkeypatch.setattr(sampler, "_BLOCK", 50)
+    idx = np.arange(5000, dtype=np.uint64)
+    x = _dispatch_sample(PBall(3, 1.5), 9, 2 * idx)
+    y = _dispatch_sample(PBall(3, 3.0), 9, 2 * idx + 1)
+    est = estimate_phi(PBall(3, 1.5), 5000, 9)
+    ref = _group_recipe(x, y)
+    assert est.estimate == pytest.approx(ref[0], rel=1e-12)
+    assert est.stderr == pytest.approx(ref[1], rel=1e-10)
 
 
 def test_estimate_memory_is_bounded():
-    # only the 8-byte <x, y>^2 per sample may grow with the sample count
+    # nothing is kept per sample, only each group's n x n sums, so the peak
+    # must not grow with the sample count; the bound still allows 8 bytes
+    # per extra sample
     peaks = []
     for blocks in (2, 8):
         tracemalloc.start()
@@ -404,6 +443,53 @@ def test_estimate_memory_is_bounded():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, peaks
+
+
+def test_stderr_calibration(pball_variances):
+    # over 64 fixed seeds per cell at M = 2048 (32 samples per group):
+    #  * the mean of stderr^2 * M lies within 4 of its standard deviations
+    #    (the spread over the seeds / 8) of the exact V_all;
+    #  * the share of |z| <= 2 lies within 4 binomial standard deviations of
+    #    0.95, the probability of |t| <= 2 at the 63 degrees of freedom
+    samples, seeds = 2048, range(64)
+    z = []
+    for n, p in ((5, 1.5), (10, 2.0)):
+        ref = phi_pball(n, p).phi
+        v_all = pball_variances(n, p)[1]
+        ests = [estimate_phi(PBall(n, p), samples, s) for s in seeds]
+        v = np.array([e.stderr**2 * samples for e in ests])
+        sd_mean = v.std(ddof=1) / math.sqrt(len(v))
+        assert abs(v.mean() - v_all) <= 4.0 * sd_mean, (n, p, v.mean(), v_all)
+        z += [(e.estimate - ref) / e.stderr for e in ests]
+    share = np.mean(np.abs(z) <= 2.0)
+    assert abs(share - 0.95) <= 4.0 * math.sqrt(0.95 * 0.05 / len(z)), share
+
+
+def test_exact_variance_ratios(pball_variances):
+    # V_pair / V_all, the per-sample variance of <x, y>^2 over the all-pairs one
+    for (n, p), ratio in (((5, 1.5), 8.0), ((10, 1.25), 17.2), ((10, 2.0), 28.8)):
+        v_pair, v_all = pball_variances(n, p)
+        assert round(v_pair / v_all, 1) == ratio, (n, p, v_pair / v_all)
+    # duality: (5, 3) has the same two variances as (5, 1.5)
+    assert pball_variances(5, 3.0) == pytest.approx(pball_variances(5, 1.5), rel=1e-12)
+    # V_pair against the sample variance of <x, y>^2 over 1e5 pairs, within 4
+    # of its standard deviations sqrt((mu_4 - s^4) / N)
+    v_pair, _ = pball_variances(3, 1.5)
+    idx = np.arange(100_000, dtype=np.uint64)
+    x = _dispatch_sample(PBall(3, 1.5), 5, 2 * idx)
+    y = _dispatch_sample(PBall(3, 3.0), 5, 2 * idx + 1)
+    dev = np.einsum("ij,ij->i", x, y) ** 2
+    dev -= dev.mean()
+    s2 = np.mean(dev**2)
+    assert abs(s2 - v_pair) <= 4.0 * math.sqrt((np.mean(dev**4) - s2**2) / len(dev)), (s2, v_pair)
+
+
+def test_estimate_is_linear_invariant_to_rounding():
+    base = estimate_phi(PBall(2, 1.5), 20_000, 33)
+    for matrix in ([[30.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [0.0, 1.0]], [[1e6, 0.0], [0.0, 1e-6]]):
+        est = estimate_phi(make_linear_image(np.array(matrix), PBall(2, 1.5)), 20_000, 33)
+        assert est.estimate == pytest.approx(base.estimate, rel=1e-12, abs=0.0), matrix
+        assert est.stderr == pytest.approx(base.stderr, rel=1e-10, abs=0.0), matrix
 
 
 def test_ill_conditioned_ellipses_estimate_one_eighth():
