@@ -38,6 +38,7 @@ from polarphi.bodies import (
     Interval,
     PBall,
     Product,
+    Revolution,
     Simplex,
     gauge_batch,
     make_linear_image,
@@ -48,7 +49,7 @@ from polarphi.bodies import (
 )
 from polarphi.errors import DomainError
 from polarphi.exact import phi_pball
-from polarphi.revolution import phi_revolution
+from polarphi.revolution import phi_revolution, profile_integrals
 from polarphi.rng import _INV53, _SLOT_STRIDE, GOLD, _fin, parse_seed
 from polarphi.sampler import (
     _BLOCK,
@@ -299,6 +300,9 @@ def test_simplex_centroid_is_origin():
 
 
 README_GRID = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
+# a flat top (a segment with equal end radii) and flat ends, whose polar has
+# the vertices (+-1, 0)
+FLAT_TOP_GRID = {"grid": [[-1.0, 0.5], [-0.5, 1.0], [0.5, 1.0], [1.0, 0.5]]}
 
 # one body per exact rule beyond the p-ball; the polar side of each is a
 # second rule or a second instance (the simplex polar is a linear image, the
@@ -310,6 +314,7 @@ RULE_BODIES = [
     parse_body({"type": "revolution", "dim": 3, "profile": "pball:3"}),
     parse_body({"type": "revolution", "dim": 3, "profile": README_GRID}),
     parse_body({"type": "revolution", "dim": 12, "profile": README_GRID}),
+    parse_body({"type": "revolution", "dim": 4, "profile": FLAT_TOP_GRID}),
     make_linear_image(np.diag(np.logspace(-6.0, 6.0, 4)), PBall(4, 2.0)),
 ]
 
@@ -340,14 +345,49 @@ def test_every_rule_is_deterministic_per_index():
             assert np.array_equal(off, ref[700:800]), (body, side)
 
 
+def test_no_sampler_rejects(monkeypatch):
+    # every rule is exact: no draw tests membership, and a grid revolution
+    # draw runs no rejection rounds either
+    def forbidden(*args):
+        raise AssertionError("a sampler called a rejection helper")
+
+    monkeypatch.setattr(sampler, "membership_batch", forbidden)
+    for body in RULE_BODIES:
+        with monkeypatch.context() as grid:
+            if isinstance(body, Revolution) and body.profile.kind == "grid":
+                grid.setattr(sampler, "_rounds", forbidden)
+            for side in (PRIMAL, POLAR):
+                assert sample_body(body, side, 500, 8).shape == (500, body.dim), (body, side)
+
+
+def test_grid_axis_law_matches_exact_moments():
+    # the gauge test cannot see a wrong law of t along the axis; the exact
+    # moments can: E t^2 = m2 / m0 and E |y|^2 = (n - 1) m+ / ((n + 1) m0)
+    count = 20_000
+    for grid in (README_GRID, FLAT_TOP_GRID):
+        for n in (3, 50):
+            body = parse_body({"type": "revolution", "dim": n, "profile": grid})
+            for side in (PRIMAL, POLAR):
+                m0, m2, mp = profile_integrals(resolve_side(body, side).profile, n)
+                pts = sample_body(body, side, count, 1618)
+                t2 = pts[:, 0] ** 2
+                y2 = np.einsum("ij,ij->i", pts[:, 1:], pts[:, 1:])
+                for vals, ref in ((t2, m2 / m0), (y2, (n - 1) * mp / ((n + 1) * m0))):
+                    tol = 4.0 * vals.std(ddof=1) / math.sqrt(count)
+                    assert abs(vals.mean() - ref) <= tol, (grid, n, side, vals.mean(), ref)
+
+
 def test_exact_samplers_reach_exact_phi_in_high_dimension():
-    # simplex, cone and a cond-1e12 ellipse at n = 10 and 50, 2e4 samples each
+    # simplex, cone, the README grid and a cond-1e12 ellipse at n = 10 and 50,
+    # 2e4 samples each
     for n in (10, 50):
         ball = n / (n + 2.0) ** 2
         cone = parse_body({"type": "revolution", "dim": n, "profile": "cone"})
+        grid = parse_body({"type": "revolution", "dim": n, "profile": README_GRID})
         cells = (
             ("simplex", Simplex(n), ball),
             ("cone", cone, phi_revolution(cone.profile, n).phi),
+            ("grid", grid, phi_revolution(grid.profile, n).phi),
             ("ellipse", make_linear_image(np.diag(np.logspace(-6.0, 6.0, n)), PBall(n, 2.0)), ball),
         )
         for name, body, ref in cells:
@@ -357,6 +397,17 @@ def test_exact_samplers_reach_exact_phi_in_high_dimension():
             sigmas = abs(est.estimate - ref) / est.stderr
             print(f"{name}-{n}: {sigmas:.2f} stderr from exact phi, {dt:.3f} s")
             assert sigmas <= 4.0, (name, n, est, ref)
+
+
+def test_grid_revolution_reaches_exact_phi_at_dimension_200():
+    # 2e4 points in the README grid body and 2e4 in its polar at n = 200
+    body = parse_body({"type": "revolution", "dim": 200, "profile": README_GRID})
+    ref = phi_revolution(body.profile, 200).phi
+    t0 = time.perf_counter()
+    est = estimate_phi(body, 20_000, 2026)
+    sigmas = abs(est.estimate - ref) / est.stderr
+    print(f"grid-200: {sigmas:.2f} stderr from exact phi, {time.perf_counter() - t0:.3f} s")
+    assert sigmas <= 4.0, (est, ref)
 
 
 def test_stderr_scaling():
