@@ -195,7 +195,7 @@ def _polar_knots(knots: np.ndarray) -> np.ndarray:
     dt, dr = np.diff(t), np.diff(r)
     det = t[:-1] * dr - r[:-1] * dt  # nonzero: every edge line misses 0
     verts = np.stack([dr / det, -dt / det], axis=1)
-    if r[-1] > 0.0:
+    if r[-1] > 0.0 and verts[-1, 0] < 1.0:  # an end radius below ~1e-16 already gives s = 1
         verts = np.vstack([verts, [1.0, 0.0]])
     hull = []
     for s, b in verts + 0.0:  # + 0.0 turns -0.0 into 0.0

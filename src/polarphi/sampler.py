@@ -1,18 +1,25 @@
 """Monte Carlo estimation of the polar pairing functional.
 
-phi(K) = tr(M_K M_K°) with M_K = E[x x^T] for x uniform in K.  The
-estimator draws M independent points x_i uniform in the body and y_i
-uniform in its polar, and returns tr(S_x S_y) with S = (1/M) sum x x^T: the
-mean of <x_i, y_j>^2 over all M^2 pairs, unbiased because S_x and S_y are
-independent.  The standard error comes from the two Hoeffding projections
-(Hoeffding 1948), evaluated on G = 64 equal groups of sample indices, so the
-estimate +/- a few stderr is an honest confidence interval.
+phi(K) = tr(M_K M_K°) with M_K = E[x x^T] for x uniform in K.  Write x =
+r u with r = g_K(x) its gauge and u = x / r on the boundary: r and u are
+independent and r^n ~ U(0, 1) in every body, so M_K = n/(n+2) E[u u^T]
+exactly.  The estimator draws M independent points uniform in the body and
+M in its polar, keeps their boundary points u_i and v_i, and returns
+tr(S_x S_y) with S_x = n/(n+2) (1/M) sum u u^T and likewise S_y: c^2 times
+the mean of <u_i, v_j>^2 over all M^2 pairs, c = n/(n+2), unbiased because
+S_x and S_y are independent, and with no noise from the radii (on the
+Euclidean ball |u| = 1, so the error is second order and falls as 1/M).
+phi(T K) = phi(K), and the estimator drops the linear maps at the top of
+the body, so T K and K give the same estimate bit for bit.  The standard
+error comes from the two Hoeffding projections (Hoeffding 1948), evaluated
+on G = 64 equal groups of sample indices, so the estimate +/- a few stderr
+is an honest confidence interval.
 
 Streams are counter-based (see rng): pair i reads sample index 2i for x and
 2i + 1 for y, and every uniform is a pure function of (seed, sample index,
 slot, counter).  Results are therefore bit-identical however the work is
 batched.  The estimator draws its pairs in blocks of about 32,768 indices
-and keeps only each group's sums of x x^T and y y^T: memory is
+and keeps only each group's sums of u u^T and v v^T: memory is
 O(block * n + G * n^2), with no term in the sample count.
 
 Every body type has an exact rule, an array kernel over the sample indices:
@@ -37,6 +44,15 @@ Every body type has an exact rule, an array kernel over the sample indices:
   density r(t)^{n-1}, which inverts in closed form on each linear segment,
   then the section coordinates uniform in the ball of radius r(t).
 
+Each rule also returns the gauge r = g(x) of every point it draws, from
+numbers it forms anyway: G^{1/p} / (G + E)^{1/p} for the p-ball, with G
+the Gamma sum (the l_p norm of the magnitudes in place of G^{1/p} where G
+underflows at huge p); max |x_j| for p = inf and the interval;
+1 - (n + 1) min_j w_j for the simplex, from its Dirichlet weights; the
+inner gauge for a linear image; (g_A^p + g_B^p)^{1/p} of the factor shares
+for A x_p B (max(g_A, g_B) at p = inf), so the factor's own returned gauge
+scales its draw; and gauge_batch for a grid revolution.
+
 Slot layout.  Each node owns a contiguous block of slots, starting at the
 slot its parent hands it; the block sizes depend only on the dimensions
 (see _slot_count).  For a node at slot s in dimension n:
@@ -57,7 +73,7 @@ slot its parent hands it; the block sizes depend only on the dimensions
                         s+2 ..       Box-Muller pairs, two slots per pair;
                                      every grid slot reads counter 0
 
-A p-ball at the root keeps the layout it always had, so its bits are
+A p-ball at the root keeps the layout it always had, so its points are
 unchanged.
 
 The GS kernel is vectorized over samples: each coordinate runs its rounds
@@ -83,6 +99,7 @@ from .bodies import (
     PBall,
     Product,
     Simplex,
+    _combine_p,
     _pnorm_rows,
     _simplex_vertices,
     gauge_batch,
@@ -94,6 +111,7 @@ from .errors import DomainError
 from .rng import sample_bases_v, u01_v
 
 _E = math.e
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -180,22 +198,38 @@ def _gamma_gs(bases, p, slot, k):
 
 
 def _pball_rows(bases, n, p, slot):
-    """Uniform points in the unit p-ball, one row per stream key."""
+    """Uniform points x in the unit p-ball and their gauges, one row per stream key.
+
+    The gauge is G^(1/p) / (G + E)^(1/p) from the Gamma sum G the rule
+    forms anyway.  At huge p, G = sum q^p can underflow while x != 0; below the
+    smallest normal double those rows take the l_p norm of their magnitudes.
+    """
     p = float(p)
+    m = bases.shape[0]
     if p == np.inf:
-        out = np.empty((bases.shape[0], n))
+        out = np.empty((m, n))
+        r = np.zeros(m)
         for j in range(n):
-            out[:, j] = 2.0 * u01_v(bases, slot + j, 0) - 1.0
-        return out
+            col = 2.0 * u01_v(bases, slot + j, 0) - 1.0
+            out[:, j] = col
+            # a running max of the contiguous column: no (m, n) temporary
+            np.maximum(r, np.abs(col, out=col), out=r)
+        return out, r
     gs, out = _gamma_gs(bases, p, slot, n)
     e = -np.log(u01_v(bases, slot + n + 1, 0))
-    denom = (gs.sum(axis=1) + e) ** (1.0 / p)
+    g = gs.sum(axis=1)
     del gs
+    denom = (g + e) ** (1.0 / p)
+    r = g ** (1.0 / p)
+    r /= denom
+    low = g < _TINY
+    if low.any():
+        r[low] = _pnorm_rows(out[low], p) / denom[low]
     # scale the magnitudes in place, then the signs: -(m / d) == (-m) / d
     out /= denom[:, None]
     for j in range(n):
         out[:, j] *= np.where(u01_v(bases, slot + n, j) < 0.5, -1.0, 1.0)
-    return out
+    return out, r
 
 
 def sample_pball(dim, p, count, seed, *, index_offset=0):
@@ -230,13 +264,24 @@ def _slot_count(body):
 
 
 def _simplex_rows(bases, n, slot):
-    """Dirichlet(1, ..., 1) weights of n + 1 exponentials on the vertices."""
+    """Dirichlet(1, ..., 1) weights of n + 1 exponentials on the vertices.
+
+    The vertices sum to 0, so x = sum_j (w_j - min w) v_j: its gauge is
+    r = 1 - (n + 1) min w, and x / r has weights (w - min w) / r, one of
+    them 0.
+    """
+    # before the large temporaries: the first call caches arrays that live on,
+    # and allocated after those temporaries they would keep the heap from shrinking
+    verts = _simplex_vertices(n)
     w = np.empty((bases.shape[0], n + 1))
     for j in range(n + 1):
         w[:, j] = u01_v(bases, slot + j, 0)
     w = -np.log(w)
     w /= w.sum(axis=1)[:, None]
-    return w @ _simplex_vertices(n)
+    low = w[:, 0].copy()
+    for j in range(1, n + 1):  # column by column: w.min(axis=1) is 8x slower
+        np.minimum(low, w[:, j], out=low)
+    return w @ verts, 1.0 - (n + 1) * low
 
 
 def _product_rows(body, bases, slot):
@@ -245,9 +290,11 @@ def _product_rows(body, bases, slot):
     out = np.empty((bases.shape[0], body.dim))
     cols = (slice(0, body.left.dim), slice(body.left.dim, body.dim))
     if math.isinf(body.p):
+        gauges = []
         for factor, start, col in zip(factors, starts, cols):
-            out[:, col] = _draw(factor, bases, start)
-        return out
+            out[:, col], r = _draw(factor, bases, start)
+            gauges.append(r)
+        return out, np.maximum(*gauges)
     # one factor at a time: its Gamma sum G and G^(1/p), the l_p norm of the
     # GS magnitudes, which never underflows
     p = body.p
@@ -261,9 +308,9 @@ def _product_rows(body, bases, slot):
         del gs, mags  # free them before the next factor's draws
     denom = total ** (1.0 / p)
     for factor, start, col, norm in zip(factors, starts, cols, norms):
-        x = _draw(factor, bases, start)
-        out[:, col] = x * (norm / (denom * gauge_batch(factor, x)))[:, None]
-    return out
+        x, r = _draw(factor, bases, start)
+        out[:, col] = x * (norm / (denom * r))[:, None]
+    return out, _combine_p(*norms, p) / denom
 
 
 def _sample_reject_indices(body, bases, slot):
@@ -310,7 +357,8 @@ def _sample_reject_indices(body, bases, slot):
 
 
 def _draw(body, bases, slot):
-    """One uniform point of the body per stream key, from its slot block."""
+    """(x, r): one uniform point x of the body per stream key, from its slot
+    block, and its gauge r = g_body(x)."""
     if isinstance(body, PBall):
         return _pball_rows(bases, body.dim, body.p, slot)
     if isinstance(body, Interval):
@@ -318,12 +366,14 @@ def _draw(body, bases, slot):
     if isinstance(body, Simplex):
         return _simplex_rows(bases, body.dim, slot)
     if isinstance(body, LinearImage):
-        return _draw(body.inner, bases, slot) @ body.matrix.T
+        x, r = _draw(body.inner, bases, slot)
+        return x @ body.matrix.T, r
     if isinstance(body, Product):
         return _product_rows(body, bases, slot)
     if body.profile.kind != "grid":
         return _product_rows(_named_product(body), bases, slot)
-    return _sample_reject_indices(body, bases, slot)
+    x = _sample_reject_indices(body, bases, slot)
+    return x, gauge_batch(body, x)
 
 
 def sample_body(body, side, count, seed, *, index_offset=0):
@@ -335,8 +385,12 @@ def sample_body(body, side, count, seed, *, index_offset=0):
     return _dispatch_sample(resolved, seed, indices)
 
 
-def _dispatch_sample(resolved, seed, indices):
-    return _draw(resolved, sample_bases_v(seed, indices), 0)
+def _dispatch_sample(resolved, seed, indices, *, boundary=False):
+    """The rows x drawn at these sample indices, or x / g(x) when boundary."""
+    x, r = _draw(resolved, sample_bases_v(seed, indices), 0)
+    if boundary:
+        x /= r[:, None]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +408,18 @@ _GROUPS = 64
 
 
 def estimate_phi(body, samples, seed) -> MCEstimate:
-    """All-pairs Monte Carlo for phi(K) = tr(M_K M_K°), M_K = E[x x^T].
+    """All-pairs Monte Carlo for phi(K) = tr(M_K M_K°) on boundary points.
 
-    Pair i draws x from the body at sample index 2i and y from its polar at
-    sample index 2i + 1.  With S_x = (1/M) sum_i x_i x_i^T and likewise S_y,
-    the estimate is tr(S_x S_y), the mean of <x_i, y_j>^2 over all M^2
-    pairs (i, j); S_x and S_y are independent, so it is unbiased.
+    The linear maps at the top of the body are dropped first (phi(T K) =
+    phi(K), and T K draws K's points mapped by T), so the estimate for T K
+    is the one for K, bit for bit, and products by T and T^{-T} cannot
+    cancel.  Pair i draws u = x / g(x) from the body at sample index 2i and
+    v from its polar at index 2i + 1.  With S_x = n/(n+2) (1/M) sum_i u_i
+    u_i^T and likewise S_y, the estimate is tr(S_x S_y) (see the module
+    docstring for why M_K = n/(n+2) E[u u^T]).
 
     The indices split into G = min(_GROUPS, M) equal groups, and only each
-    group's sums of x x^T and y y^T are kept.  The stderr comes from the two
+    group's sums of u u^T and v v^T are kept.  The stderr comes from the two
     Hoeffding projections: with group means Sbar^g, w_g = tr(Sbar_x^g S_y)
     + tr(S_x Sbar_y^g), and stderr = sqrt(sum_g (w_g - wbar)^2 / (G(G-1))).
     Pairs are drawn in blocks of about _BLOCK = 32,768 indices, each block
@@ -373,8 +430,11 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
     primal = resolve_side(body, PRIMAL)
+    while isinstance(primal, LinearImage):
+        primal = primal.inner
     polar = polar_body(primal)
     n = primal.dim
+    c = n / (n + 2.0)  # E r^2
     groups = min(_GROUPS, samples)
     edges = [g * samples // groups for g in range(groups + 1)]
     blocks = max(1, round(samples / _BLOCK))
@@ -386,18 +446,18 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     sy = np.zeros((groups, n, n))
     for start, stop in zip(cuts[:-1], cuts[1:]):
         idx = np.arange(start, stop, dtype=np.uint64)
-        xs = _dispatch_sample(primal, seed, 2 * idx)
-        ys = _dispatch_sample(polar, seed, 2 * idx + 1)
+        us = _dispatch_sample(primal, seed, 2 * idx, boundary=True)
+        vs = _dispatch_sample(polar, seed, 2 * idx + 1, boundary=True)
         for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
             rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
             # np.dot: less call overhead than @ on these small products
-            sx[g] += np.dot(xs[rows].T, xs[rows])
-            sy[g] += np.dot(ys[rows].T, ys[rows])
-        del xs, ys  # free this block's draws before the next block's
-    mx = sx.sum(axis=0) / samples
-    my = sy.sum(axis=0) / samples
+            sx[g] += np.dot(us[rows].T, us[rows])
+            sy[g] += np.dot(vs[rows].T, vs[rows])
+        del us, vs  # free this block's draws before the next block's
+    mx = c * (sx.sum(axis=0) / samples)
+    my = c * (sy.sum(axis=0) / samples)
     est = float(np.einsum("ij,ji->", mx, my))
     # w_g = tr(Sbar_x^g S_y) + tr(S_x Sbar_y^g), the group mean taken last
-    w = (np.einsum("gij,ji->g", sx, my) + np.einsum("ij,gji->g", mx, sy)) / np.diff(edges)
+    w = (np.einsum("gij,ji->g", sx, my) + np.einsum("ij,gji->g", mx, sy)) * c / np.diff(edges)
     stderr = float(np.sqrt(np.sum((w - w.mean()) ** 2) / (groups * (groups - 1))))
     return MCEstimate(estimate=est, stderr=stderr, samples=int(samples), seed=int(seed))

@@ -72,15 +72,36 @@ def _pball_moment(n: int, p: float, powers) -> float:
     return math.exp(log_m)
 
 
+def _boundary_var(n: int, p: float) -> float:
+    """Var |u|^2 for u = x / g(x) on the boundary of B_p^n, x uniform in B_p^n.
+
+    (|u_1|^p, ..., |u_n|^p) is Dirichlet(1/p, ..., 1/p), so E prod |u_i|^a_i is
+    Gamma(n/p) / Gamma((n + sum a)/p) * prod Gamma((1+a_i)/p) / Gamma(1/p).
+    On the cube u is +-1 in one coordinate and uniform in [-1, 1] in the
+    other n - 1, so Var |u|^2 = (n - 1) Var U^2 = (n - 1) 4/45.
+    """
+    if math.isinf(p):
+        return (n - 1) * 4.0 / 45.0
+
+    def mom(*powers):
+        log_m = math.lgamma(n / p) - math.lgamma((n + sum(powers)) / p)
+        log_m += sum(math.lgamma((1.0 + a) / p) - math.lgamma(1.0 / p) for a in powers)
+        return math.exp(log_m)
+
+    return n * mom(4) + n * (n - 1) * mom(2, 2) - (n * mom(2)) ** 2
+
+
 def _pball_variances(n: int, p: float):
-    """(V_pair, V_all): per-sample variances of the two phi estimators on B_p^n.
+    """(V_pair, V_all, V_rb): per-sample variances of three phi estimators on B_p^n.
 
     x is uniform in B_p^n and y in B_q^n, 1/p + 1/q = 1.  Only even index
     patterns survive on these 1-unconditional bodies, so with m = E x_1^2:
       V_pair = n E x_1^4 E y_1^4 + 3n(n-1) E x_1^2 x_2^2 E y_1^2 y_2^2 - phi^2
     is Var <x, y>^2, and the all-pairs estimator tr(S_x S_y) has variance
     V_all / M to leading order, V_all = m_q^2 Var|x|^2 + m_p^2 Var|y|^2 with
-    Var|x|^2 = n E x_1^4 + n(n-1) E x_1^2 x_2^2 - (n m_p)^2.
+    Var|x|^2 = n E x_1^4 + n(n-1) E x_1^2 x_2^2 - (n m_p)^2.  Built on the
+    boundary points u = x / g(x) and v, with S = c (1/M) sum u u^T and
+    c = n/(n+2) = E g^2, it has V_rb = c^2 (m_q^2 Var|u|^2 + m_p^2 Var|v|^2).
     """
     q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
     sides = []
@@ -92,12 +113,19 @@ def _pball_variances(n: int, p: float):
     v_pair = n * x4 * y4 + 3 * n * (n - 1) * x22 * y22 - phi**2
     var_x = n * x4 + n * (n - 1) * x22 - (n * mp) ** 2
     var_y = n * y4 + n * (n - 1) * y22 - (n * mq) ** 2
-    return v_pair, mq**2 * var_x + mp**2 * var_y
+    c = n / (n + 2.0)
+    v_rb = c**2 * (mq**2 * _boundary_var(n, p) + mp**2 * _boundary_var(n, q))
+    return v_pair, mq**2 * var_x + mp**2 * var_y, v_rb
 
 
 @pytest.fixture
 def pball_variances():
     return _pball_variances
+
+
+@pytest.fixture
+def boundary_var():
+    return _boundary_var
 
 
 @pytest.fixture

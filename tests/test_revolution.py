@@ -284,6 +284,22 @@ def test_polars_of_perturbed_grids_round_trip():
             assert np.array_equal(again.knots, q.knots), prof.knots
 
 
+def test_polar_of_vanishing_end_radius_round_trips():
+    # below an end radius of about 1e-16 the last edge's polar vertex is
+    # (1, 1) already; a closing knot (1, 0) after it repeated t = 1, and the
+    # polar could not be parsed back
+    near = phi_revolution(parse_profile({"grid": [[-1, 1e-16], [0, 1], [1, 1e-16]]}), 4).phi
+    for end in (1e-300, 1e-17):
+        prof = parse_profile({"grid": [[-1, end], [0, 1], [1, end]]})
+        polar = polar_profile(prof)
+        assert polar.knots.tolist() == [[-1.0, 1.0], [1.0, 1.0]], (end, polar.knots)
+        text = profile_to_json(polar)
+        assert np.array_equal(parse_profile(text).knots, polar.knots), end
+        double = polar_profile(polar)
+        assert np.abs(double.values(GRID_201) - prof.values(GRID_201)).max() <= 1e-13, end
+        assert phi_revolution(prof, 4).phi == pytest.approx(near, rel=1e-13), end
+
+
 def test_gauss_legendre_rule_is_exact_to_its_degree():
     # the m-point rule integrates t^j exactly for j <= 2m - 1, up to rounding
     for m in (2, 3, 6, 26, 101):

@@ -8,11 +8,19 @@ and the benchmark then reports null for that metric on every workload.
 `phi_revolution`, ...) to compute its oracles, so deleting one of them
 breaks the benchmark run itself.  These tests load both modules by path, as
 the benchmark does, and require every hook target to resolve and every
-workload to build.
+workload to build.  The hooks count the work of a call from its return value
+(`np.shape(out)[0]` rows for the samplers), so the hooked functions must keep
+returning arrays: a tuple there makes every traced benchmark run fail.
 """
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from polarphi import cli
+from polarphi.bodies import POLAR, PRIMAL, parse_body
+from polarphi.sampler import sample_body
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -38,3 +46,26 @@ def test_every_workload_builds(tmp_path):
     for name in ("mc_exact", "mc_rejection", "analytic"):
         ops = workloads.build(name, 1, tmp_path)
         assert ops and all(op.argv for op in ops), name
+
+
+def test_traced_sampling_records_integer_work():
+    spans = _load("spans")
+    product = parse_body({"type": "product", "p": 1.5, "left": {"type": "pball", "dim": 2, "p": 3},
+                          "right": {"type": "simplex", "dim": 2}})
+    grid = parse_body({"type": "revolution", "dim": 3, "profile": {
+        "grid": [[-1, 0], [-0.5, 0.75], [0, 1], [0.5, 0.75], [1, 0]]}})
+    recorder = spans.Recorder()
+    with spans.installed(recorder, spans.find_hooks()):
+        for body in (product, grid):
+            cli.estimate_phi(body, 1000, 3)  # the name the benchmark hooks
+            for side in (PRIMAL, POLAR):
+                assert sample_body(body, side, 300, 3).shape == (300, body.dim)
+    assert all(isinstance(w, int) for w in recorder.work)
+    arrays = recorder.arrays()
+    names = [spans.HOOKS[h][0] for h in arrays["hook"]]
+    draws = [int(w) for name, w in zip(names, arrays["work"]) if name == "sampler.draw"]
+    # per body: two estimator draws of 1000 rows, then 300 rows on each side
+    assert draws == [1000, 1000, 300, 300] * 2, draws
+    rejects = [int(w) for name, w in zip(names, arrays["work"]) if name == "sampler.reject"]
+    assert rejects == [1000, 1000, 300, 300], rejects
+    assert np.all(arrays["end"] >= arrays["start"])
