@@ -10,136 +10,58 @@ for every body in the grammar -- and verifies the decomposition theorem,
 monotonicity chain, and volume-product inequalities behind it numerically.
 
 The Monte Carlo samplers and the profile evaluators are vectorized over
-samples and quadrature nodes with numpy.
+samples and quadrature nodes with numpy.  The package imports each
+submodule on first use of one of its names, so the closed-form layers
+(exact, specfun) load without numpy.
 """
 
-from .bodies import (
-    POLAR,
-    PRIMAL,
-    Interval,
-    LinearImage,
-    PBall,
-    Product,
-    Revolution,
-    Simplex,
-    gauge_batch,
-    make_linear_image,
-    membership,
-    membership_batch,
-    parse_body,
-    polar_body,
-    serialize_body,
-)
-from .errors import DomainError, VerificationError
-from .exact import (
-    PHI_INTERVAL,
-    ExponentPair,
-    IsotropyReport,
-    PhiBreakdown,
-    dual_exponent,
-    f_factor,
-    inequality_report,
-    pball_moment2,
-    pball_volume,
-    phi_combine,
-    phi_pball,
-    phi_via_moments,
-)
-from .harness import (
-    GridReport,
-    F_eval,
-    G_eval,
-    H_eval,
-    default_p_grid,
-    f1_eval,
-    finite_difference_report,
-    monotonicity_report,
-    scan_p_argmax,
-    xsq_trigamma_convexity,
-)
-from .revolution import (
-    RevolutionProfile,
-    RevolutionReport,
-    decomposition_report,
-    parse_profile,
-    phi_revolution,
-    polar_profile,
-    profile_integrals,
-    profile_to_json,
-)
-from .rng import parse_seed
-from .sampler import MCEstimate, estimate_phi, sample_body, sample_pball
-from .specfun import (
-    digamma,
-    log_beta,
-    log_gamma,
-    pentagamma,
-    polygamma,
-    tetragamma,
-    trigamma,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PRIMAL",
-    "POLAR",
-    "Interval",
-    "PBall",
-    "Product",
-    "Revolution",
-    "LinearImage",
-    "Simplex",
-    "gauge_batch",
-    "make_linear_image",
-    "membership",
-    "membership_batch",
-    "parse_body",
-    "polar_body",
-    "serialize_body",
-    "DomainError",
-    "VerificationError",
-    "PHI_INTERVAL",
-    "ExponentPair",
-    "PhiBreakdown",
-    "IsotropyReport",
-    "dual_exponent",
-    "f_factor",
-    "inequality_report",
-    "pball_moment2",
-    "pball_volume",
-    "phi_combine",
-    "phi_pball",
-    "phi_via_moments",
-    "GridReport",
-    "F_eval",
-    "G_eval",
-    "H_eval",
-    "default_p_grid",
-    "f1_eval",
-    "finite_difference_report",
-    "monotonicity_report",
-    "scan_p_argmax",
-    "xsq_trigamma_convexity",
-    "RevolutionProfile",
-    "RevolutionReport",
-    "decomposition_report",
-    "parse_profile",
-    "phi_revolution",
-    "polar_profile",
-    "profile_integrals",
-    "profile_to_json",
-    "parse_seed",
-    "MCEstimate",
-    "estimate_phi",
-    "sample_body",
-    "sample_pball",
-    "digamma",
-    "log_beta",
-    "log_gamma",
-    "pentagamma",
-    "polygamma",
-    "tetragamma",
-    "trigamma",
-    "__version__",
-]
+# every public name, by the submodule that defines it
+_EXPORTS = {
+    "bodies": (
+        "PRIMAL", "POLAR", "Interval", "PBall", "Product", "Revolution", "LinearImage",
+        "Simplex", "gauge_batch", "make_linear_image", "membership", "membership_batch",
+        "parse_body", "polar_body", "serialize_body",
+    ),
+    "errors": ("DomainError", "VerificationError"),
+    "exact": (
+        "PHI_INTERVAL", "ExponentPair", "PhiBreakdown", "IsotropyReport", "dual_exponent",
+        "f_factor", "inequality_report", "pball_moment2", "pball_volume", "phi_combine",
+        "phi_pball", "phi_via_moments",
+    ),
+    "harness": (
+        "GridReport", "F_eval", "G_eval", "H_eval", "default_p_grid", "f1_eval",
+        "finite_difference_report", "monotonicity_report", "scan_p_argmax",
+        "xsq_trigamma_convexity",
+    ),
+    "revolution": (
+        "RevolutionProfile", "RevolutionReport", "decomposition_report", "parse_profile",
+        "phi_revolution", "polar_profile", "profile_integrals", "profile_to_json",
+    ),
+    "rng": ("parse_seed",),
+    "sampler": ("MCEstimate", "estimate_phi", "sample_body", "sample_pball"),
+    "specfun": (
+        "digamma", "log_beta", "log_gamma", "pentagamma", "polygamma", "tetragamma",
+        "trigamma",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_SOURCE, "__version__"]
+
+
+def __getattr__(name):
+    """Import the submodule that defines `name` and bind the name here (PEP 562)."""
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCE})

@@ -325,13 +325,21 @@ def _combine_p(gl: np.ndarray, gr: np.ndarray, p: float) -> np.ndarray:
 
 def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
     """Named profiles: the l_P combination of |t| and |y|; grids: the support
-    function of the polar section, max_i (|t| |s_i| + |y| r_i) over its knots."""
+    function of the polar section, max_i (|t| |s_i| + |y| r_i) over its knots.
+
+    The polar grid is even, mirrored exactly, so the knots with s_i >= 0
+    give every value; a running max over them needs no (points, knots) array.
+    """
     t = np.abs(pts[:, 0])
     rho = np.linalg.norm(pts[:, 1:], axis=1)
     if spec.profile.kind != "grid":
         return _combine_p(t, rho, spec.profile.exponent)
     knots = polar_profile(spec.profile).knots
-    return (t[:, None] * np.abs(knots[:, 0]) + rho[:, None] * knots[:, 1]).max(axis=1)
+    (s0, r0), *rest = knots[knots[:, 0] >= 0.0]
+    out = t * s0 + rho * r0
+    for s, r in rest:
+        np.maximum(out, t * s + rho * r, out=out)
+    return out
 
 
 def gauge_batch(spec, pts: np.ndarray) -> np.ndarray:

@@ -22,11 +22,11 @@ stderr.
 import argparse
 import csv
 import functools
+import importlib
 import json
 import math
 import sys
 
-from .bodies import parse_body, serialize_body
 from .errors import DomainError, VerificationError
 from .exact import (
     dual_exponent,
@@ -36,16 +36,36 @@ from .exact import (
     phi_pball,
     phi_via_moments,
 )
-from .harness import (
-    DEFAULT_DIMS,
-    default_p_grid,
-    finite_difference_report,
-    monotonicity_report,
-    scan_p_argmax,
+
+# Names from the NumPy-backed modules, bound by _load() on first use, so that
+# phi exact, f-eval, verify theorem and verify inequalities start without
+# NumPy.  Handlers call them through this module's globals, where a wrapper
+# set on the module attribute (a trace hook, a test's monkeypatch) is the
+# function that runs.
+_LAZY = (
+    "parse_body", "serialize_body", "DEFAULT_DIMS", "default_p_grid",
+    "finite_difference_report", "monotonicity_report", "scan_p_argmax",
+    "decomposition_report", "parse_profile", "profile_to_json", "parse_seed",
+    "estimate_phi",
 )
-from .revolution import decomposition_report, parse_profile, profile_to_json
-from .rng import parse_seed
-from .sampler import estimate_phi
+
+
+def _load():
+    """Bind every name of _LAZY that is not bound yet; a bound one is kept."""
+    names = globals()
+    for name in _LAZY:
+        if name not in names:
+            # the package resolves its exports; DEFAULT_DIMS is not one of them
+            owner = ".harness" if name == "DEFAULT_DIMS" else __package__
+            names[name] = getattr(importlib.import_module(owner, __package__), name)
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -138,6 +158,7 @@ def _cmd_phi_exact(args):
 
 
 def _cmd_phi_mc(args):
+    _load()
     if args.body == "-":
         text = sys.stdin.read()
     else:
@@ -178,6 +199,7 @@ def _parse_grid(text):
 
 
 def _cmd_scan(args):
+    _load()
     dim = _check_cap(args.dim, DIM_CAP_EXACT, "exact evaluation")
     grid = _parse_grid(args.grid) if args.grid else default_p_grid()
     report = scan_p_argmax(dim, grid, tolerance=args.tol_max)
@@ -250,6 +272,7 @@ def _cmd_verify_theorem(args):
 
 
 def _cmd_verify_harness(args):
+    _load()
     reports = [monotonicity_report(), finite_difference_report(tolerance=args.tol_fd)]
     reports.extend(scan_p_argmax(n) for n in DEFAULT_DIMS)
     records = []
@@ -301,6 +324,7 @@ def _cmd_verify_inequalities(args):
 
 
 def _cmd_revolution(args):
+    _load()
     dim = _check_cap(args.dim, DIM_CAP_EXACT, "revolution quadrature")
     if dim < 2:
         raise DomainError(f"revolution bodies need dim >= 2, got {dim}")

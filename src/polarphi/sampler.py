@@ -9,8 +9,9 @@ tr(S_x S_y) with S_x = n/(n+2) (1/M) sum u u^T and likewise S_y: c^2 times
 the mean of <u_i, v_j>^2 over all M^2 pairs, c = n/(n+2), unbiased because
 S_x and S_y are independent, and with no noise from the radii (on the
 Euclidean ball |u| = 1, so the error is second order and falls as 1/M).
-phi(T K) = phi(K), and the estimator drops the linear maps at the top of
-the body, so T K and K give the same estimate bit for bit.  The standard
+phi(T K) = phi(K), and the estimator drops every linear map of the body,
+those inside x_p factors too ((T1 A) x_p (T2 B) = diag(T1, T2) (A x_p B)),
+so T K and K give the same estimate bit for bit.  The standard
 error comes from the two Hoeffding projections (Hoeffding 1948), evaluated
 on G = 64 equal groups of sample indices, so the estimate +/- a few stderr
 is an honest confidence interval.
@@ -88,7 +89,7 @@ other lanes do.
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -407,14 +408,27 @@ _BLOCK = 32_768
 _GROUPS = 64
 
 
+def _core(body):
+    """The body with every linear map dropped.
+
+    (T1 A) x_p (T2 B) = diag(T1, T2) (A x_p B), so the maps inside a product
+    hoist to one map at the top, and phi(T K) = phi(K).  A map's slot block is
+    its inner body's, so the core draws the body's points with the maps undone.
+    """
+    if isinstance(body, LinearImage):
+        return _core(body.inner)
+    if isinstance(body, Product):
+        return replace(body, left=_core(body.left), right=_core(body.right))
+    return body
+
+
 def estimate_phi(body, samples, seed) -> MCEstimate:
     """All-pairs Monte Carlo for phi(K) = tr(M_K M_K°) on boundary points.
 
-    The linear maps at the top of the body are dropped first (phi(T K) =
-    phi(K), and T K draws K's points mapped by T), so the estimate for T K
-    is the one for K, bit for bit, and products by T and T^{-T} cannot
-    cancel.  Pair i draws u = x / g(x) from the body at sample index 2i and
-    v from its polar at index 2i + 1.  With S_x = n/(n+2) (1/M) sum_i u_i
+    Every linear map of the body is dropped first (_core), so the estimate
+    for T K is the one for K, bit for bit, and products by T and T^{-T}
+    cannot cancel.  Pair i draws u = x / g(x) from the body at sample index
+    2i and v from its polar at index 2i + 1.  With S_x = n/(n+2) (1/M) sum_i u_i
     u_i^T and likewise S_y, the estimate is tr(S_x S_y) (see the module
     docstring for why M_K = n/(n+2) E[u u^T]).
 
@@ -429,9 +443,7 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")
-    primal = resolve_side(body, PRIMAL)
-    while isinstance(primal, LinearImage):
-        primal = primal.inner
+    primal = _core(resolve_side(body, PRIMAL))
     polar = polar_body(primal)
     n = primal.dim
     c = n / (n + 2.0)  # E r^2

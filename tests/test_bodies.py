@@ -22,6 +22,7 @@ from polarphi.bodies import (
     PBall,
     Product,
     Simplex,
+    _revolution_gauge,
     gauge_batch,
     make_linear_image,
     membership,
@@ -31,6 +32,7 @@ from polarphi.bodies import (
     serialize_body,
 )
 from polarphi.errors import DomainError
+from polarphi.revolution import polar_profile
 
 DOCS = [
     '{"type": "interval"}',
@@ -179,6 +181,24 @@ def test_revolution_gauge_boundary_and_homogeneity():
             lam = rng.uniform(0.1, 10.0, size=50)
             g = gauge_batch(body, x)
             assert np.abs(gauge_batch(body, lam[:, None] * x) - lam * g).max() <= 1e-14 * (lam * g).max()
+
+
+def test_grid_gauge_matches_max_over_all_knots_bit_for_bit():
+    # the running max over the knots with s >= 0 must give the bits of the
+    # broadcast max over every polar knot, on rows with zero coordinates
+    rng = np.random.default_rng(5)
+    grid = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
+    primal = parse_body({"type": "revolution", "dim": 3, "profile": grid})
+    for body in (primal, polar_body(primal)):
+        pts = rng.standard_normal((2000, 3))
+        pts[:50] = 0.0
+        pts[50:100, 0] = 0.0
+        pts[100:150, 1:] = 0.0
+        knots = polar_profile(body.profile).knots
+        t = np.abs(pts[:, 0])[:, None]
+        rho = np.linalg.norm(pts[:, 1:], axis=1)[:, None]
+        ref = (t * np.abs(knots[:, 0]) + rho * knots[:, 1]).max(axis=1)
+        assert np.array_equal(_revolution_gauge(body, pts), ref)
 
 
 def test_simplex_construction():

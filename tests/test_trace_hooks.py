@@ -11,15 +11,22 @@ the benchmark does, and require every hook target to resolve and every
 workload to build.  The hooks count the work of a call from its return value
 (`np.shape(out)[0]` rows for the samplers), so the hooked functions must keep
 returning arrays: a tuple there makes every traced benchmark run fail.
+`polarphi.cli` binds its NumPy-backed names on first use, so the hooks on
+`polarphi.cli.<name>` must also hold in a fresh interpreter whose first
+NumPy command runs after they are installed.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from polarphi import cli
 from polarphi.bodies import POLAR, PRIMAL, parse_body
+from polarphi.harness import DEFAULT_DIMS
 from polarphi.sampler import sample_body
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -69,3 +76,43 @@ def test_traced_sampling_records_integer_work():
     rejects = [int(w) for name, w in zip(names, arrays["work"]) if name == "sampler.reject"]
     assert rejects == [1000, 1000, 300, 300], rejects
     assert np.all(arrays["end"] >= arrays["start"])
+
+
+_FRESH_TRACE = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+from polarphi import cli
+recorder = spans.Recorder()
+codes = []
+with spans.installed(recorder, spans.find_hooks()):
+    for argv in json.loads(sys.argv[2]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "spans": [spans.HOOKS[h][0] for h in recorder.hook]}))
+"""
+
+
+def test_cli_hooks_hold_in_a_fresh_interpreter(tmp_path):
+    # the hooks replace polarphi.cli's names before any NumPy command has run;
+    # each handler must then call the wrapper, not a copy of its own
+    body = tmp_path / "ball.json"
+    body.write_text('{"type": "pball", "dim": 3, "p": 1.5}', encoding="utf-8")
+    argvs = [
+        ["phi", "mc", "--body", str(body), "--samples", "200", "--seed", "1"],
+        ["revolution", "--profile", "ball", "--dim", "3"],
+        ["scan", "--dim", "3"],
+        ["verify", "harness"],
+    ]
+    res = subprocess.run([sys.executable, "-c", _FRESH_TRACE, str(PERFBENCH / "spans.py"),
+                          json.dumps(argvs)], capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["codes"] == [0, 0, 0, 0]
+    spans = out["spans"]
+    assert spans.count("cli") == 4
+    assert spans.count("sampler.reduce") == 1
+    assert spans.count("revolution.report") == 1
+    # scan, then verify harness: monotonicity, finite differences, one scan per dim
+    assert spans.count("harness.report") == 3 + len(DEFAULT_DIMS)
