@@ -386,8 +386,9 @@ def polar_body(spec) -> object:
     if isinstance(spec, Revolution):
         return Revolution(dim=spec.dim, profile=polar_profile(spec.profile))
     if isinstance(spec, LinearImage):
-        inv_t = np.ascontiguousarray(spec.inverse.T)
-        return make_linear_image(inv_t, polar_body(spec.inner))
+        # T^{-T} has T's condition number: no second SVD or check, and the
+        # polar of the polar is the body itself, bit for bit
+        return LinearImage(spec.inverse.T, polar_body(spec.inner), spec.matrix.T)
     if isinstance(spec, Simplex):
         return make_linear_image(
             -float(spec.dim) * np.eye(spec.dim), Simplex(dim=spec.dim)

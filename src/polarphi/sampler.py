@@ -2,9 +2,9 @@
 
 phi(K) = tr(M_K M_K°) with M_K = E[x x^T] for x uniform in K.  Write x =
 r u with r = g_K(x) its gauge and u = x / r on the boundary: r and u are
-independent and r^n ~ U(0, 1) in every body, so M_K = n/(n+2) E[u u^T]
-exactly.  The estimator draws M independent points uniform in the body and
-M in its polar, keeps their boundary points u_i and v_i, and returns
+independent, r^n ~ U(0, 1) in every body, and u follows the cone measure of
+K, so M_K = n/(n+2) E[u u^T] exactly.  The estimator draws M cone-measure
+points u_i of the body and M points v_i of its polar, and returns
 tr(S_x S_y) with S_x = n/(n+2) (1/M) sum u u^T and likewise S_y: c^2 times
 the mean of <u_i, v_j>^2 over all M^2 pairs, c = n/(n+2), unbiased because
 S_x and S_y are independent, and with no noise from the radii (on the
@@ -16,66 +16,56 @@ error comes from the two Hoeffding projections (Hoeffding 1948), evaluated
 on G = 64 equal groups of sample indices, so the estimate +/- a few stderr
 is an honest confidence interval.
 
-Streams are counter-based (see rng): pair i reads sample index 2i for x and
-2i + 1 for y, and every uniform is a pure function of (seed, sample index,
+Streams are counter-based (see rng): pair i reads sample index 2i for u and
+2i + 1 for v, and every uniform is a pure function of (seed, sample index,
 slot, counter).  Results are therefore bit-identical however the work is
 batched.  The estimator draws its pairs in blocks of about 32,768 indices
 and keeps only each group's sums of u u^T and v v^T: memory is
 O(block * n + G * n^2), with no term in the sample count.
 
-Every body type has an exact rule, an array kernel over the sample indices:
+Every body type has an exact rule for its cone measure, an array kernel
+over the sample indices that returns u with g(u) = 1:
 
-* p-ball B_p^n: |x_j|^p is Gamma(1/p) via the Ahrens-Dieter GS rejection
-  sampler (two uniforms per round, valid for shape in (0,1)); the magnitude
-  |x_j| is recovered exactly in each GS branch (avoiding the p-th power
-  underflow at large p), and the vector is scaled by (sum_j |x_j|^p + E)^(-1/p)
-  with E standard exponential.  p = 1 uses a plain exponential per
-  coordinate and p = inf is coordinate-wise uniform.  The interval is B_inf^1.
-* simplex: Dirichlet(1, ..., 1) weights from n + 1 exponentials, applied to
-  the vertices (Devroye 1986, ch. V).
-* linear image T K: a draw of K mapped by T (the polar is T^{-T} K deg, so
-  the simplex polar, -n times the simplex, is covered too).
-* A x_p B, p finite: with G_A, G_B sums of n_A, n_B Gamma(1/p) draws and E
-  exponential, S = G_A + G_B + E, the factor A gets (G_A/S)^{1/p} u/g_A(u)
-  for u uniform in A, and likewise B (Barthe, Guedon, Mendelson and Naor,
-  Ann. Probab. 2005, lifted from coordinates to factors).  p = inf makes
-  the factors independent.  A named revolution profile is
-  [-1, 1] x_P B_2^{n-1} and is drawn as that product.
-* grid revolution: the axis coordinate t by inverse transform of its
-  density r(t)^{n-1}, which inverts in closed form on each linear segment,
-  then the section coordinates uniform in the ball of radius r(t).
+* x_p node: factor i gets (G_i / sum G)^{1/p} u_i, with G_i ~ Gamma(n_i/p)
+  and u_i a cone-measure point of the factor (Barthe, Guedon, Mendelson and
+  Naor, Ann. Probab. 2005, without the radial exponential).  B_p^n is the
+  x_p node of n intervals, whose cone points are +-1: u_j = e_j
+  (g_j / sum g)^{1/p}, g_j ~ Gamma(1/p) (Schechtman and Zinn 1990).  Nested
+  x_p nodes of the same p, p-balls included, flatten into one node.  At
+  p = inf factor i gets the radius V_i^{1/n_i}, V_i uniform (a p-ball
+  coordinate is w = 2U - 1, radius |w|), over the largest radius.  A named
+  revolution profile is the product [-1, 1] x_P B_2^{n-1}.
+* simplex: the facet opposite the smallest of n + 1 exponentials w, with
+  the weights (w - min w) / sum(w - min w) on the vertices.
+* linear image T K: T u for u of K.
+* grid revolution: each edge of the profile in the (t, rho) half-plane,
+  the end caps t = +-1 included, gets the mass of the cone over it; rho^{n-1}
+  is uniform along the edge, and the direction of y on S^{n-2}.
 
-Each rule also returns the gauge r = g(x) of every point it draws, from
-numbers it forms anyway: G^{1/p} / (G + E)^{1/p} for the p-ball, with G
-the Gamma sum (the l_p norm of the magnitudes in place of G^{1/p} where G
-underflows at huge p); max |x_j| for p = inf and the interval;
-1 - (n + 1) min_j w_j for the simplex, from its Dirichlet weights; the
-inner gauge for a linear image; (g_A^p + g_B^p)^{1/p} of the factor shares
-for A x_p B (max(g_A, g_B) at p = inf), so the factor's own returned gauge
-scales its draw; and gauge_batch for a grid revolution.
+A uniform point of the body is u V^{1/n} with V uniform (sample_body), read
+at counter 0 of the first slot past the root's block.
 
 Slot layout.  Each node owns a contiguous block of slots, starting at the
 slot its parent hands it; the block sizes depend only on the dimensions
-(see _slot_count).  For a node at slot s in dimension n:
+(see _slot_count), and slots a rule does not read stay in its block.  For
+a node at slot s in dimension n:
 
-    p-ball, interval    s .. s+n-1   coordinate magnitudes: GS round k reads
-                                     counters (2k, 2k + 1); p = 1 and p = inf
-                                     read counter 0
+    p-ball              s .. s+n-1   coordinates: GS round k reads counters
+                                     (2k, 2k + 1); p = 1 and p = inf read
+                                     counter 0
                         s+n          signs (counter = coordinate)
-                        s+n+1        the radial exponential
+                        s+n+1        unused
+    interval            s            the sign; s+1 and s+2 unused
     simplex             s .. s+n     the n + 1 exponentials
     linear image        the inner body's block
     A x_p B             A's block, then B's block, then n_A + n_B GS slots
-                        (G_A, then G_B), then one slot for E; p = inf reads
-                        only the two factor blocks
+                        (G_A, then G_B; at p = inf, V_A and V_B at counter 0
+                        of the first of each), then one unused slot
     named revolution    the block of [-1, 1] x_P B_2^{n-1}
-    grid revolution     s            segment and axis coordinate t
-                        s+1          section radius u^{1/(n-1)} r(t)
+    grid revolution     s            the edge
+                        s+1          the point on the edge
                         s+2 ..       Box-Muller pairs, two slots per pair;
                                      every grid slot reads counter 0
-
-A p-ball at the root keeps the layout it always had, so its points are
-unchanged.
 
 The GS kernel is vectorized over samples: each coordinate runs its rounds
 on the lanes (one sample's draw for that coordinate) still rejecting,
@@ -100,10 +90,8 @@ from .bodies import (
     PBall,
     Product,
     Simplex,
-    _combine_p,
     _pnorm_rows,
     _simplex_vertices,
-    gauge_batch,
     membership_batch,  # not called here; the benchmark's trace hooks this name
     polar_body,
     resolve_side,
@@ -124,7 +112,7 @@ class MCEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Gamma(1/p) draws and the p-ball
+# Gamma(1/p) draws
 # ---------------------------------------------------------------------------
 
 
@@ -198,49 +186,8 @@ def _gamma_gs(bases, p, slot, k):
     return gs, mags
 
 
-def _pball_rows(bases, n, p, slot):
-    """Uniform points x in the unit p-ball and their gauges, one row per stream key.
-
-    The gauge is G^(1/p) / (G + E)^(1/p) from the Gamma sum G the rule
-    forms anyway.  At huge p, G = sum q^p can underflow while x != 0; below the
-    smallest normal double those rows take the l_p norm of their magnitudes.
-    """
-    p = float(p)
-    m = bases.shape[0]
-    if p == np.inf:
-        out = np.empty((m, n))
-        r = np.zeros(m)
-        for j in range(n):
-            col = 2.0 * u01_v(bases, slot + j, 0) - 1.0
-            out[:, j] = col
-            # a running max of the contiguous column: no (m, n) temporary
-            np.maximum(r, np.abs(col, out=col), out=r)
-        return out, r
-    gs, out = _gamma_gs(bases, p, slot, n)
-    e = -np.log(u01_v(bases, slot + n + 1, 0))
-    g = gs.sum(axis=1)
-    del gs
-    denom = (g + e) ** (1.0 / p)
-    r = g ** (1.0 / p)
-    r /= denom
-    low = g < _TINY
-    if low.any():
-        r[low] = _pnorm_rows(out[low], p) / denom[low]
-    # scale the magnitudes in place, then the signs: -(m / d) == (-m) / d
-    out /= denom[:, None]
-    for j in range(n):
-        out[:, j] *= np.where(u01_v(bases, slot + n, j) < 0.5, -1.0, 1.0)
-    return out, r
-
-
-def sample_pball(dim, p, count, seed, *, index_offset=0):
-    """count uniform points in the unit p-ball (sample indices offset..)."""
-    indices = np.arange(index_offset, index_offset + count, dtype=np.uint64)
-    return _dispatch_sample(PBall(dim, p), seed, indices)
-
-
 # ---------------------------------------------------------------------------
-# the other rules
+# the cone-measure rules
 # ---------------------------------------------------------------------------
 
 
@@ -264,13 +211,81 @@ def _slot_count(body):
     return 2 + 2 * (body.dim // 2)
 
 
-def _simplex_rows(bases, n, slot):
-    """Dirichlet(1, ..., 1) weights of n + 1 exponentials on the vertices.
+def _factors(body, slot):
+    """(share slot, factor, factor slot) for each factor of the x_p node at slot.
 
-    The vertices sum to 0, so x = sum_j (w_j - min w) v_j: its gauge is
-    r = 1 - (n + 1) min w, and x / r has weights (w - min w) / r, one of
-    them 0.
+    A p-ball stands for its coordinates, which read their own slots (share
+    slot None).  A factor that is a x_p node of the same p is flattened into
+    its factors.
     """
+    if isinstance(body, PBall):
+        return [(None, body, slot)]
+    right = slot + _slot_count(body.left)
+    share = right + _slot_count(body.right)
+    out = []
+    for factor, start, sg in ((body.left, slot, share), (body.right, right, share + body.left.dim)):
+        if isinstance(factor, (PBall, Product)) and factor.p == body.p:
+            out += _factors(factor, start)
+        else:
+            out.append((sg, factor, start))
+    return out
+
+
+def _lp_rows(body, bases, slot):
+    """Cone-measure points of a x_p node, a product or a p-ball: the n-ary rule.
+
+    Factor i's part is G_i^{1/p} u_i, and the point is the parts over their
+    l_p norm (sum G)^{1/p}; at p = inf the part is V_i^{1/n_i} u_i, over the
+    largest radius.  G_i^{1/p} is the l_p norm of the factor's GS magnitudes,
+    which never underflows, so where sum G underflows at huge p the l_p norm
+    of the G_i^{1/p} takes the place of (sum G)^{1/p}.
+    """
+    p = float(body.p)
+    m = bases.shape[0]
+    inf = math.isinf(p)
+    total = np.zeros(m)  # sum G, or the largest radius at p = inf
+    parts, norms = [], []
+    for share, factor, start in _factors(body, slot):
+        k = factor.dim
+        coords = share is None
+        if coords and inf:
+            part = np.empty((m, k))
+            for j in range(k):
+                w = 2.0 * u01_v(bases, start + j, 0) - 1.0
+                part[:, j] = w
+                # a running max of the contiguous column: no (m, k) temporary
+                np.maximum(total, np.abs(w, out=w), out=total)
+        elif coords:
+            gs, part = _gamma_gs(bases, p, start, k)
+            total += gs.sum(axis=1)
+            for j in range(k):
+                part[:, j] *= np.where(u01_v(bases, start + k, j) < 0.5, -1.0, 1.0)
+            norms.append(part)
+        elif inf:
+            rad = u01_v(bases, share, 0) ** (1.0 / k)
+            part = _draw(factor, bases, start) * rad[:, None]
+            np.maximum(total, rad, out=total)
+        else:
+            gs, mags = _gamma_gs(bases, p, share, k)
+            total += gs.sum(axis=1)
+            norms.append(_pnorm_rows(mags, p)[:, None])
+            del gs, mags  # free them before the factor's own draws
+            part = _draw(factor, bases, start) * norms[-1]
+        parts.append(part)
+    out = parts[0] if len(parts) == 1 else np.hstack(parts)
+    if not inf:
+        low = total < _TINY
+        total **= 1.0 / p
+        if low.any():
+            total[low] = _pnorm_rows(np.hstack([a[low] for a in norms]), p)
+    out /= total[:, None]
+    return out
+
+
+def _simplex_rows(bases, n, slot):
+    """The facet opposite the smallest of n + 1 exponentials w, with the
+    weights (w - min w) / sum(w - min w) on the vertices (the other n of them
+    Dirichlet(1, ..., 1), by the memorylessness of the exponential)."""
     # before the large temporaries: the first call caches arrays that live on,
     # and allocated after those temporaries they would keep the heap from shrinking
     verts = _simplex_vertices(n)
@@ -278,74 +293,50 @@ def _simplex_rows(bases, n, slot):
     for j in range(n + 1):
         w[:, j] = u01_v(bases, slot + j, 0)
     w = -np.log(w)
-    w /= w.sum(axis=1)[:, None]
     low = w[:, 0].copy()
     for j in range(1, n + 1):  # column by column: w.min(axis=1) is 8x slower
         np.minimum(low, w[:, j], out=low)
-    return w @ verts, 1.0 - (n + 1) * low
-
-
-def _product_rows(body, bases, slot):
-    factors = (body.left, body.right)
-    starts = (slot, slot + _slot_count(body.left))
-    out = np.empty((bases.shape[0], body.dim))
-    cols = (slice(0, body.left.dim), slice(body.left.dim, body.dim))
-    if math.isinf(body.p):
-        gauges = []
-        for factor, start, col in zip(factors, starts, cols):
-            out[:, col], r = _draw(factor, bases, start)
-            gauges.append(r)
-        return out, np.maximum(*gauges)
-    # one factor at a time: its Gamma sum G and G^(1/p), the l_p norm of the
-    # GS magnitudes, which never underflows
-    p = body.p
-    sg = starts[1] + _slot_count(body.right)
-    total = -np.log(u01_v(bases, sg + body.dim, 0))
-    norms = []
-    for factor, col in zip(factors, cols):
-        gs, mags = _gamma_gs(bases, p, sg + col.start, factor.dim)
-        total += gs.sum(axis=1)
-        norms.append(_pnorm_rows(mags, p))
-        del gs, mags  # free them before the next factor's draws
-    denom = total ** (1.0 / p)
-    for factor, start, col, norm in zip(factors, starts, cols, norms):
-        x, r = _draw(factor, bases, start)
-        out[:, col] = x * (norm / (denom * r))[:, None]
-    return out, _combine_p(*norms, p) / denom
+    w -= low[:, None]
+    w /= w.sum(axis=1)[:, None]
+    return w @ verts
 
 
 def _sample_reject_indices(body, bases, slot):
-    """Grid revolution by inverse transform, O(n) per sample, every slot at counter 0.
+    """Grid revolution by its cone measure, O(n) per sample, every slot at counter 0.
 
     Nothing is rejected: the name is kept because the benchmark's trace hooks
-    it.  The density of t is r^{n-1}.  A segment of width w, read from its
-    wider end, radius hi, to radius (1 - d) hi, has mass w hi^{n-1} (1 - (1 -
-    d)^n) / (n d); hi <= r(0) = 1, so hi^{n-1} underflows only on negligible
-    masses.  r^n is uniform on the segment, so a uniform g lands at the share
-    s = -expm1(log1p(g c) / n) / d of the way, c = (1 - d)^n - 1 (s = g when
-    d = 0, and log1p(-1) = -inf at a zero radius).
+    it.  In the (t, rho) half-plane the boundary runs from (-1, 0) along the
+    profile to (1, 0), the end caps being edges where r(+-1) > 0.  The cone
+    from 0 over an edge from (t0, rho0) to (t1, rho1) has mass proportional
+    to |t0 rho1 - t1 rho0| Int_0^1 rho^{n-2}, and along the edge rho^{n-1} is
+    uniform.  Read from its wider end, radius hi, to radius (1 - d) hi, the
+    integral is hi^{n-2} (1 - (1 - d)^{n-1}) / ((n - 1) d) (hi <= r(0) = 1,
+    so hi^{n-2} underflows only on negligible masses), and a uniform g lands
+    at the share s = -expm1(log1p(g c) / (n - 1)) / d of the way, c =
+    (1 - d)^{n-1} - 1 (s = g when d = 0).  The direction of y is a normalized
+    Gaussian vector from the Box-Muller slots.  No gauge is evaluated.
     """
     n = body.dim
-    kt, kr = body.profile.knots.T
-    w = np.diff(kt)
-    up = kr[1:] > kr[:-1]
-    hi = np.where(up, kr[1:], kr[:-1])
-    t_hi = np.where(up, kt[1:], kt[:-1])
-    step = np.where(up, -w, w)  # from t_hi to the other end
-    d = (hi - np.minimum(kr[:-1], kr[1:])) / hi
-    c = np.expm1(n * np.log1p(-d, out=np.full_like(d, -np.inf), where=d < 1.0))
-    mass = w * hi ** (n - 1) * np.divide(-c, n * d, out=np.ones_like(d), where=d > 0.0)
+    kt = np.concatenate([[-1.0], body.profile.knots[:, 0], [1.0]])
+    kr = np.concatenate([[0.0], body.profile.knots[:, 1], [0.0]])
+    cross = np.abs(kt[:-1] * kr[1:] - kt[1:] * kr[:-1])
+    keep = cross > 0.0  # an end cap with r(+-1) = 0 is empty
+    t0, t1, r0, r1, cross = kt[:-1][keep], kt[1:][keep], kr[:-1][keep], kr[1:][keep], cross[keep]
+    up = r1 > r0
+    hi = np.where(up, r1, r0)
+    t_hi = np.where(up, t1, t0)
+    step = np.where(up, t0 - t1, t1 - t0)  # from t_hi to the other end
+    d = (hi - np.minimum(r0, r1)) / hi
+    c = np.expm1((n - 1) * np.log1p(-d, out=np.full_like(d, -np.inf), where=d < 1.0))
+    mass = cross * hi ** (n - 2) * np.divide(-c, (n - 1) * d, out=np.ones_like(d), where=d > 0.0)
     cum = np.concatenate([[0.0], np.cumsum(mass)])
     cum /= cum[-1]
-    u = u01_v(bases, slot, 0)
-    seg = np.searchsorted(cum, u, side="right") - 1
-    g = (u - cum[seg]) / (cum[seg + 1] - cum[seg])
-    gc = g * c[seg]
-    s = -np.expm1(np.log1p(gc, out=np.full_like(gc, -np.inf), where=gc > -1.0) / n)
-    s = np.divide(s, d[seg], out=g, where=d[seg] > 0.0)
+    seg = np.searchsorted(cum, u01_v(bases, slot, 0), side="right") - 1
+    g = u01_v(bases, slot + 1, 0)
+    s = np.divide(-np.expm1(np.log1p(g * c[seg]) / (n - 1)), d[seg], out=g, where=d[seg] > 0.0)
     out = np.empty((bases.shape[0], n))
     out[:, 0] = t_hi[seg] + s * step[seg]
-    rad = hi[seg] * (1.0 - s * d[seg]) * u01_v(bases, slot + 1, 0) ** (1.0 / (n - 1))
+    rho = hi[seg] * (1.0 - s * d[seg])
     z = out[:, 1:]
     for i in range(n // 2):
         mag = np.sqrt(-2.0 * np.log(u01_v(bases, slot + 2 + 2 * i, 0)))
@@ -353,45 +344,45 @@ def _sample_reject_indices(body, bases, slot):
         z[:, 2 * i] = mag * np.cos(ang)
         if 2 * i + 1 < n - 1:
             z[:, 2 * i + 1] = mag * np.sin(ang)
-    z *= (rad / np.linalg.norm(z, axis=1))[:, None]
+    z *= (rho / np.linalg.norm(z, axis=1))[:, None]
     return out
 
 
 def _draw(body, bases, slot):
-    """(x, r): one uniform point x of the body per stream key, from its slot
-    block, and its gauge r = g_body(x)."""
-    if isinstance(body, PBall):
-        return _pball_rows(bases, body.dim, body.p, slot)
+    """One cone-measure point u of the body per stream key, g(u) = 1, from
+    the node's slot block."""
     if isinstance(body, Interval):
-        return _pball_rows(bases, 1, np.inf, slot)
+        return np.where(u01_v(bases, slot, 0) < 0.5, -1.0, 1.0)[:, None]
+    if isinstance(body, (PBall, Product)):
+        return _lp_rows(body, bases, slot)
     if isinstance(body, Simplex):
         return _simplex_rows(bases, body.dim, slot)
     if isinstance(body, LinearImage):
-        x, r = _draw(body.inner, bases, slot)
-        return x @ body.matrix.T, r
-    if isinstance(body, Product):
-        return _product_rows(body, bases, slot)
+        return _draw(body.inner, bases, slot) @ body.matrix.T
     if body.profile.kind != "grid":
-        return _product_rows(_named_product(body), bases, slot)
-    x = _sample_reject_indices(body, bases, slot)
-    return x, gauge_batch(body, x)
+        return _lp_rows(_named_product(body), bases, slot)
+    return _sample_reject_indices(body, bases, slot)
+
+
+def _dispatch_sample(resolved, seed, indices):
+    """The cone-measure points u drawn at these sample indices."""
+    return _draw(resolved, sample_bases_v(seed, indices), 0)
 
 
 def sample_body(body, side, count, seed, *, index_offset=0):
-    """count uniform points in the requested side of the body."""
+    """count uniform points in the requested side of the body: u V^{1/n}."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     resolved = resolve_side(body, side)
     indices = np.arange(index_offset, index_offset + count, dtype=np.uint64)
-    return _dispatch_sample(resolved, seed, indices)
+    u = _dispatch_sample(resolved, seed, indices)
+    v = u01_v(sample_bases_v(seed, indices), _slot_count(resolved), 0)
+    return u * (v ** (1.0 / resolved.dim))[:, None]
 
 
-def _dispatch_sample(resolved, seed, indices, *, boundary=False):
-    """The rows x drawn at these sample indices, or x / g(x) when boundary."""
-    x, r = _draw(resolved, sample_bases_v(seed, indices), 0)
-    if boundary:
-        x /= r[:, None]
-    return x
+def sample_pball(dim, p, count, seed, *, index_offset=0):
+    """count uniform points in the unit p-ball (sample indices offset..)."""
+    return sample_body(PBall(dim, p), PRIMAL, count, seed, index_offset=index_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +418,10 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
 
     Every linear map of the body is dropped first (_core), so the estimate
     for T K is the one for K, bit for bit, and products by T and T^{-T}
-    cannot cancel.  Pair i draws u = x / g(x) from the body at sample index
-    2i and v from its polar at index 2i + 1.  With S_x = n/(n+2) (1/M) sum_i u_i
-    u_i^T and likewise S_y, the estimate is tr(S_x S_y) (see the module
-    docstring for why M_K = n/(n+2) E[u u^T]).
+    cannot cancel.  Pair i draws a cone-measure point u of the body at
+    sample index 2i and v of its polar at index 2i + 1.  With S_x = n/(n+2)
+    (1/M) sum_i u_i u_i^T and likewise S_y, the estimate is tr(S_x S_y) (see
+    the module docstring for why M_K = n/(n+2) E[u u^T]).
 
     The indices split into G = min(_GROUPS, M) equal groups, and only each
     group's sums of u u^T and v v^T are kept.  The stderr comes from the two
@@ -446,7 +437,7 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     primal = _core(resolve_side(body, PRIMAL))
     polar = polar_body(primal)
     n = primal.dim
-    c = n / (n + 2.0)  # E r^2
+    c = n / (n + 2.0)  # E g(x)^2
     groups = min(_GROUPS, samples)
     edges = [g * samples // groups for g in range(groups + 1)]
     blocks = max(1, round(samples / _BLOCK))
@@ -458,8 +449,8 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     sy = np.zeros((groups, n, n))
     for start, stop in zip(cuts[:-1], cuts[1:]):
         idx = np.arange(start, stop, dtype=np.uint64)
-        us = _dispatch_sample(primal, seed, 2 * idx, boundary=True)
-        vs = _dispatch_sample(polar, seed, 2 * idx + 1, boundary=True)
+        us = _dispatch_sample(primal, seed, 2 * idx)
+        vs = _dispatch_sample(polar, seed, 2 * idx + 1)
         for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
             rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
             # np.dot: less call overhead than @ on these small products

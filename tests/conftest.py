@@ -84,11 +84,20 @@ def _boundary_var(n: int, p: float) -> float:
         return (n - 1) * 4.0 / 45.0
 
     def mom(*powers):
-        log_m = math.lgamma(n / p) - math.lgamma((n + sum(powers)) / p)
-        log_m += sum(math.lgamma((1.0 + a) / p) - math.lgamma(1.0 / p) for a in powers)
-        return math.exp(log_m)
+        return _cone_moment(n, p, powers)
 
     return n * mom(4) + n * (n - 1) * mom(2, 2) - (n * mom(2)) ** 2
+
+
+def _cone_moment(n: int, p: float, powers) -> float:
+    """E prod |u_i|^a_i, a_i = powers (the rest 0), for u on the boundary of B_p^n.
+
+    (|u_1|^p, ..., |u_n|^p) is Dirichlet(1/p, ..., 1/p), which gives
+    Gamma(n/p) / Gamma((n + sum a)/p) * prod Gamma((1+a_i)/p) / Gamma(1/p).
+    """
+    log_m = math.lgamma(n / p) - math.lgamma((n + sum(powers)) / p)
+    log_m += sum(math.lgamma((1.0 + a) / p) - math.lgamma(1.0 / p) for a in powers)
+    return math.exp(log_m)
 
 
 def _pball_variances(n: int, p: float):
@@ -118,9 +127,66 @@ def _pball_variances(n: int, p: float):
     return v_pair, mq**2 * var_x + mp**2 * var_y, v_rb
 
 
+def _named_profile_v_rb(n: int, big_p: float) -> float:
+    """V_rb for the named profile pball:P in dimension n, [-1, 1] x_P B_2^{n-1}.
+
+    Its boundary point is (b^{1/P} e, (1 - b)^{1/P} y) with b ~ Beta(1/P,
+    (n-1)/P), e = +-1 and y uniform on S^{n-2}, so the moments of u_t^2 and
+    |u_y|^2 are Beta moments.  M_K = c diag(E u_t^2, E |u_y|^2 / (n-1), ...),
+    c = n/(n+2), so u^T M_K° u = a u_t^2 + b |u_y|^2, and V_rb is c^2 times
+    the sum of that variance and the polar side's.  The polar is the profile
+    at the dual exponent.
+    """
+    c = n / (n + 2.0)
+    moments = []
+    for r in (big_p, big_p / (big_p - 1.0)):
+        a, b = 1.0 / r, (n - 1.0) / r
+
+        def mom(i, j, a=a, b=b, r=r):  # E (u_t^2)^i (|u_y|^2)^j
+            log_m = math.lgamma(a + 2 * i / r) + math.lgamma(b + 2 * j / r)
+            log_m += math.lgamma(a + b) - math.lgamma(a + b + 2 * (i + j) / r)
+            return math.exp(log_m - math.lgamma(a) - math.lgamma(b))
+
+        moments.append(mom)
+
+    def form_var(mom, other):  # Var(a u_t^2 + b |u_y|^2), (a, b) from the other side's M
+        a, b = c * other(1, 0), c * other(0, 1) / (n - 1)
+        return (a * a * (mom(2, 0) - mom(1, 0) ** 2) + b * b * (mom(0, 2) - mom(0, 1) ** 2)
+                + 2 * a * b * (mom(1, 1) - mom(1, 0) * mom(0, 1)))
+
+    mx, my = moments
+    return c**2 * (form_var(mx, my) + form_var(my, mx))
+
+
+def _simplex_v_rb(n: int) -> float:
+    """V_rb for the regular simplex in dimension n, whose polar is -n times it.
+
+    The boundary point is u = sum_j w_j v_j over the n vertices of a uniform
+    facet, w ~ Dirichlet(1, ..., 1), and <v_i, v_j> = -1/n, so |u|^2 =
+    (1 + 1/n) sum w_j^2 - 1/n, with E sum w^2 = 2/(n+1) and
+    E (sum w^2)^2 = 4(n+5)/((n+1)(n+2)(n+3)).  E u u^T = I/n^2 by symmetry
+    and the polar's point is -n u, so M_K = c I/n^2, M_K° = c I and
+    V_rb = c^2 (c^2 Var|u|^2 + (c/n^2)^2 n^4 Var|u|^2) = 2 c^4 Var|u|^2.
+    """
+    var_sum = 4.0 * (n + 5) / ((n + 1) * (n + 2) * (n + 3)) - 4.0 / (n + 1) ** 2
+    var_sq = (1.0 + 1.0 / n) ** 2 * var_sum
+    return 2.0 * (n / (n + 2.0)) ** 4 * var_sq
+
+
 @pytest.fixture
 def pball_variances():
     return _pball_variances
+
+
+@pytest.fixture
+def body_v_rb():
+    """V_rb of the named profile pball:3 at n = 4 and the simplex at n = 3."""
+    return {"pball:3-4": _named_profile_v_rb(4, 3.0), "simplex-3": _simplex_v_rb(3)}
+
+
+@pytest.fixture
+def cone_moment():
+    return _cone_moment
 
 
 @pytest.fixture

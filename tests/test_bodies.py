@@ -121,6 +121,21 @@ def test_polar_structural_identities():
     assert np.allclose(sim.matrix, -2.0 * np.eye(2))
 
 
+
+def test_polar_of_a_polar_linear_image_is_the_body():
+    # the polar of T K is T^{-T} K°, built from the stored T and T^{-1} with
+    # no second SVD or condition check: rebuilt, the rotated cond-1e14 map
+    # (accepted by the parser) raised DomainError at condition 1.002e14, and
+    # the cond-1e12 map moved by 3.3e-6 relative
+    theta = 0.3
+    rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    for matrix in (rot @ np.diag([1e7, 1e-7]) @ rot.T, np.diag([1e6, 1e-6])):
+        body = make_linear_image(matrix, PBall(2, 1.5))
+        twice = polar_body(polar_body(body))
+        assert np.array_equal(twice.matrix, body.matrix), matrix
+        assert np.array_equal(twice.inverse, body.inverse), matrix
+        assert twice.inner == body.inner
+
 def test_bipolar_membership_equality():
     rng = np.random.default_rng(5)
     for doc in DOCS:

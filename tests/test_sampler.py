@@ -11,8 +11,9 @@ Distributional oracles (independent closed forms):
     variance V_rb of the boundary-point estimator (conftest), so stderr^2 * M
     is checked against it over fixed seeds, with the coverage of +/- 2
     stderr;
-  * every rule returns the gauge r = g(x) of each point x it draws, and x / r
-    lies on the boundary;
+  * every rule draws a cone-measure point u with g(u) = 1, and its moments
+    match the exact ones: the Dirichlet law of (|u_j|^p) on p-balls, the
+    profile moments on grid revolution bodies;
   * phi is linear invariant, and the estimator drops every linear map of
     the body, inside x_p factors too, so the estimate for T K is the
     estimate for K bit for bit.
@@ -20,8 +21,9 @@ Distributional oracles (independent closed forms):
 Structural contracts: counter-based determinism (prefix invariance, exact
 repeatability, rows that follow their sample indices under permutation and
 gaps, for every sampling rule; Monte Carlo and RNG bits pinned to recorded
-values), membership of every sample, and the vectorized p-ball kernel
-agreeing to roundoff with a one-sample-at-a-time reference.
+values), membership of every sample, and the vectorized p-ball kernel and
+interior rule u V^{1/n} agreeing to roundoff with a one-sample-at-a-time
+reference.
 """
 
 import math
@@ -85,6 +87,9 @@ def _u01(base, slot, k):
 
 
 def _fill_pball_reference(out, seed, indices, p):
+    # u_j = e_j |g_j|^(1/p) / (sum g)^(1/p) with g_j ~ Gamma(1/p) by GS, or
+    # w_j / max |w| with w_j = 2U - 1 at p = inf; then x = u V^(1/n), V the
+    # uniform at the first slot past the ball's n + 2
     m, n = out.shape
     pinf = p == np.inf
     a = 1.0 / p
@@ -92,9 +97,11 @@ def _fill_pball_reference(out, seed, indices, p):
     mags = np.empty(n)
     for i in range(m):
         base = _sample_base(np.uint64(seed), indices[i])
+        radius = _u01(base, np.uint64(n + 2), np.uint64(0)) ** (1.0 / n)
         if pinf:
             for j in range(n):
                 out[i, j] = 2.0 * _u01(base, np.uint64(j), np.uint64(0)) - 1.0
+            out[i] *= radius / np.abs(out[i]).max()
             continue
         s = 0.0
         for j in range(n):
@@ -120,13 +127,20 @@ def _fill_pball_reference(out, seed, indices, p):
                             break
             mags[j] = mag
             s += g
-        s += -np.log(_u01(base, np.uint64(n + 1), np.uint64(0)))
         denom = s**a
         for j in range(n):
             u = _u01(base, np.uint64(n), np.uint64(j))
             sign = -1.0 if u < 0.5 else 1.0
-            out[i, j] = sign * mags[j] / denom
+            out[i, j] = sign * mags[j] / denom * radius
     return out
+
+
+def _interior(body, seed, indices):
+    """Uniform points of the body at these sample indices, as sample_body
+    draws them: u V^(1/n), V at the first slot past the body's block."""
+    u = _dispatch_sample(body, seed, indices)
+    v = u01_v(sample_bases_v(seed, indices), sampler._slot_count(body), 0)
+    return u * (v ** (1.0 / body.dim))[:, None]
 
 
 def test_repeatability_bit_exact():
@@ -162,13 +176,13 @@ def test_lane_bookkeeping_follows_rows():
 
 
 # float.hex of (estimate, stderr) for estimate_phi(PBall(n, p), 20_000, 2024),
-# recorded with the all-pairs estimator on boundary points over 64 index
-# groups: a sampler rewrite that keeps the counter layout must reproduce
-# them bit for bit
+# recorded with the all-pairs estimator on the cone-measure rule's boundary
+# points over 64 index groups: a sampler rewrite that keeps the counter
+# layout must reproduce them bit for bit
 PINNED_MC = {
-    (5, 3.0): ("0x1.9d2fc776142f0p-4", "0x1.a849da5a97415p-14"),
-    (10, 1.25): ("0x1.0c30404e78e55p-4", "0x1.a2c33ed3d9534p-14"),
-    (3, 1.5): ("0x1.e5b845b5abb1ap-4", "0x1.ed429a7e6d101p-14"),
+    (5, 3.0): ("0x1.9d2fc776142f0p-4", "0x1.a849da5a97409p-14"),
+    (10, 1.25): ("0x1.0c30404e78e55p-4", "0x1.a2c33ed3d9533p-14"),
+    (3, 1.5): ("0x1.e5b845b5abb1ap-4", "0x1.ed429a7e6d12cp-14"),
 }
 
 
@@ -222,7 +236,7 @@ def test_vectorized_sampler_matches_scalar_reference():
         # uint64 arithmetic wraps modulo 2^64 by design; numpy scalars warn on it
         with np.errstate(over="ignore"):
             _fill_pball_reference(out, 77, idx, float(p))
-        vec = _dispatch_sample(PBall(n, p), 77, idx)
+        vec = sample_pball(n, p, 4000, 77)
         assert np.abs(out - vec).max() <= 1e-12, (n, p)
 
 
@@ -342,27 +356,26 @@ def test_every_rule_is_deterministic_per_index():
             ref = _dispatch_sample(resolved, 31, idx)
             assert np.array_equal(ref, _dispatch_sample(resolved, 31, idx)), (body, side)
             assert np.array_equal(_dispatch_sample(resolved, 31, idx[perm]), ref[perm]), (body, side)
+            ref = _interior(resolved, 31, idx)
             small = sample_body(body, side, 200, 31)
             assert np.array_equal(small, ref[:200]), (body, side)
             off = sample_body(body, side, 100, 31, index_offset=700)
             assert np.array_equal(off, ref[700:800]), (body, side)
 
 
-def test_every_rule_returns_the_gauge_of_its_draw():
-    # r = g(x) within 1e-12 relative, and x / r on the boundary, for every
-    # rule on both sides, the p-ball from p = 1 to a p where the Gamma sum
-    # underflows, the interval and a cond-1e12 diagonal ellipse
+def test_every_rule_draws_on_the_boundary():
+    # g(u) = 1 within 1e-12 for every rule on both sides, the p-ball from
+    # p = 1 to a p where the Gamma sum underflows, the interval and a
+    # cond-1e12 diagonal ellipse
     bodies = [*RULE_BODIES, Interval(), make_linear_image(np.diag([1e6, 1e-6]), PBall(2, 2.0)),
               *(PBall(3, p) for p in (1.0, 1.5, 1e6, math.inf))]
     bases = sample_bases_v(271, np.arange(5000, dtype=np.uint64))
     for body in bodies:
         for side in (PRIMAL, POLAR):
             resolved = resolve_side(body, side)
-            x, r = sampler._draw(resolved, bases, 0)
-            assert r.shape == (len(bases),) and (r > 0.0).all(), (body, side)
-            rel = np.abs(r / gauge_batch(resolved, x) - 1.0).max()
-            assert rel <= 1e-12, (body, side, rel)
-            on = np.abs(gauge_batch(resolved, x / r[:, None]) - 1.0).max()
+            u = sampler._draw(resolved, bases, 0)
+            assert u.shape == (len(bases), body.dim), (body, side)
+            on = np.abs(gauge_batch(resolved, u) - 1.0).max()
             assert on <= 1e-12, (body, side, on)
 
 
@@ -397,6 +410,67 @@ def test_grid_axis_law_matches_exact_moments():
                     tol = 4.0 * vals.std(ddof=1) / math.sqrt(count)
                     assert abs(vals.mean() - ref) <= tol, (grid, n, side, vals.mean(), ref)
 
+
+def test_cone_measure_moments_match_exact_values(cone_moment, boundary_var):
+    # g(u) = 1 cannot see a wrong law on the boundary (a wrong edge or end-cap
+    # mass, a wrong Gamma share); the exact moments of the cone measure can
+    count = 100_000
+    idx = np.arange(count, dtype=np.uint64)
+
+    def close(vals, ref, what):
+        tol = 4.0 * vals.std(ddof=1) / math.sqrt(count)
+        assert abs(vals.mean() - ref) <= tol, (what, vals.mean(), ref)
+
+    # p-balls: (|u_j|^p) is Dirichlet(1/p, ..., 1/p), so E u u^T = E u_1^2 I;
+    # the cube's u is +-1 in one coordinate and uniform in the others.  A x_p
+    # tree of p-balls and intervals of one p is a p-ball too, drawn as one
+    # flattened node
+    bodies = [PBall(n, p) for n, p in ((2, 1.0), (3, 1.5), (5, 3.0), (4, 1e6), (6, math.inf))]
+    bodies += [Product(3.0, PBall(2, 3.0), Product(3.0, Interval(), PBall(2, 3.0))),
+               Product(math.inf, Interval(), PBall(2, math.inf))]
+    for body in bodies:
+        n, p = body.dim, body.p
+        u = _dispatch_sample(body, 12, idx)
+        second = (n + 2.0) / (3.0 * n) if math.isinf(p) else cone_moment(n, p, (2,))
+        for i in range(n):
+            for j in range(i, n):
+                close(u[:, i] * u[:, j], second if i == j else 0.0, (n, p, i, j))
+        dev = np.einsum("ij,ij->i", u, u)
+        dev -= dev.mean()
+        s2 = np.mean(dev**2)
+        sd = math.sqrt((np.mean(dev**4) - s2**2) / count)
+        assert abs(s2 - boundary_var(n, p)) <= 4.0 * sd, (n, p, s2, boundary_var(n, p))
+    # grids: n/(n+2) E u_t^2 = m2 / m0 and n/(n+2) E |u_y|^2 = (n - 1) m+ / ((n + 1) m0)
+    for grid in (README_GRID, FLAT_TOP_GRID):
+        for n in (2, 3, 10):
+            body = parse_body({"type": "revolution", "dim": n, "profile": grid})
+            c = n / (n + 2.0)
+            for side in (PRIMAL, POLAR):
+                resolved = resolve_side(body, side)
+                m0, m2, mp = profile_integrals(resolved.profile, n)
+                u = _dispatch_sample(resolved, 1618, idx)
+                close(c * u[:, 0] ** 2, m2 / m0, (grid, n, side, "t"))
+                y2 = np.einsum("ij,ij->i", u[:, 1:], u[:, 1:])
+                close(c * y2, (n - 1) * mp / ((n + 1) * m0), (grid, n, side, "y"))
+
+
+def test_grid_rule_draws_a_fine_grid_fast():
+    # a 4,001-knot grid near the disc at n = 50: 1e5 rows on each side in
+    # under 1 s, every one on the boundary, with no gauge evaluated
+    half = np.linspace(0.0, 1.0, 2001)
+    t = np.concatenate([-half[:0:-1], half])
+    knots = np.stack([t, np.sqrt(1.0 - t * t)], axis=1).tolist()
+    body = parse_body({"type": "revolution", "dim": 50, "profile": {"grid": knots}})
+    idx = np.arange(100_000, dtype=np.uint64)
+    for side in (PRIMAL, POLAR):
+        resolved = resolve_side(body, side)
+        t0 = time.perf_counter()
+        u = _dispatch_sample(resolved, 5, idx)
+        dt = time.perf_counter() - t0
+        on = np.abs(gauge_batch(resolved, u) - 1.0).max()
+        print(f"{side}: {dt:.3f} s for 1e5 rows, |g(u) - 1| <= {on:.1e}")
+        assert dt < 1.0, (side, dt)
+        assert on <= 1e-12, (side, on)
 
 def test_exact_samplers_reach_exact_phi_in_high_dimension():
     # simplex, cone, the README grid and a cond-1e12 ellipse at n = 10 and 50,
@@ -478,13 +552,11 @@ def test_stderr_definition():
     assert est.stderr > 0.0
     # manual recomputation: pair i = sample indices (2i, 2i+1)
     idx = np.arange(5000, dtype=np.uint64)
-    u = _dispatch_sample(PBall(2, 1.5), 21, 2 * idx, boundary=True)
-    v = _dispatch_sample(PBall(2, 3.0), 21, 2 * idx + 1, boundary=True)
+    u = _dispatch_sample(PBall(2, 1.5), 21, 2 * idx)
+    v = _dispatch_sample(PBall(2, 3.0), 21, 2 * idx + 1)
     assert (est.estimate, est.stderr) == _group_recipe(u, v)
-    # the boundary points are the draws over the gauges their rule returns
-    x, r = sampler._draw(PBall(2, 1.5), sample_bases_v(21, 2 * idx), 0)
-    assert np.array_equal(x, _dispatch_sample(PBall(2, 1.5), 21, 2 * idx))
-    assert np.array_equal(u, x / r[:, None])
+    # the boundary points are the rule's draws, used as they are
+    assert np.array_equal(u, sampler._draw(PBall(2, 1.5), sample_bases_v(21, 2 * idx), 0))
     # tr(S_x S_y) is c^2 times the mean of <u_i, v_j>^2 over all pairs (i, j)
     few = estimate_phi(PBall(2, 1.5), 500, 21)
     ref = 0.25 * float(np.mean((u[:500] @ v[:500].T) ** 2))
@@ -504,15 +576,15 @@ def test_blocked_estimate_matches_whole_array(monkeypatch):
     ]
     for body in bodies:
         primal = resolve_side(body, PRIMAL)
-        u = _dispatch_sample(primal, 9, 2 * idx, boundary=True)
-        v = _dispatch_sample(polar_body(primal), 9, 2 * idx + 1, boundary=True)
+        u = _dispatch_sample(primal, 9, 2 * idx)
+        v = _dispatch_sample(polar_body(primal), 9, 2 * idx + 1)
         est = estimate_phi(body, samples, 9)
         assert (est.estimate, est.stderr) == _group_recipe(u, v), body
     # more blocks than groups: a group's sums then add up over several blocks
     monkeypatch.setattr(sampler, "_BLOCK", 50)
     idx = np.arange(5000, dtype=np.uint64)
-    u = _dispatch_sample(PBall(3, 1.5), 9, 2 * idx, boundary=True)
-    v = _dispatch_sample(PBall(3, 3.0), 9, 2 * idx + 1, boundary=True)
+    u = _dispatch_sample(PBall(3, 1.5), 9, 2 * idx)
+    v = _dispatch_sample(PBall(3, 3.0), 9, 2 * idx + 1)
     est = estimate_phi(PBall(3, 1.5), 5000, 9)
     ref = _group_recipe(u, v)
     assert est.estimate == pytest.approx(ref[0], rel=1e-12)
@@ -532,7 +604,7 @@ def test_estimate_memory_is_bounded():
     assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, peaks
 
 
-def test_stderr_calibration(pball_variances):
+def test_stderr_calibration(pball_variances, body_v_rb):
     # over 64 fixed seeds per cell at M = 8192 (128 samples per group):
     #  * the mean of stderr^2 * M lies within 4 of its standard deviations
     #    (the spread over the seeds / 8) of the exact V_rb;
@@ -540,16 +612,21 @@ def test_stderr_calibration(pball_variances):
     #    0.95, the probability of |t| <= 2 at the 63 degrees of freedom.
     # stderr^2 * M carries an O(1/M) term beyond V_rb: at M = 2048 it read
     # about 7 % high at (5, 1.5), at 8192 about 1 %.  At p = 2, V_rb = 0
-    # (see test_exact_variance_ratios), so (10, 1.25) stands in for it
+    # (see test_exact_variance_ratios), so (10, 1.25) stands in for it.
+    # Beyond p-balls: the named profile pball:3 at n = 4 (Beta moments) and
+    # the simplex at n = 3 (Dirichlet moments), whose V_rb come from conftest
     samples, seeds = 8192, range(64)
+    named = parse_body({"type": "revolution", "dim": 4, "profile": "pball:3"})
+    cells = [(PBall(n, p), phi_pball(n, p).phi, pball_variances(n, p)[2])
+             for n, p in ((5, 1.5), (10, 1.25))]
+    cells += [(named, phi_revolution(named.profile, 4).phi, body_v_rb["pball:3-4"]),
+              (Simplex(3), 3.0 / 25.0, body_v_rb["simplex-3"])]
     z = []
-    for n, p in ((5, 1.5), (10, 1.25)):
-        ref = phi_pball(n, p).phi
-        v_rb = pball_variances(n, p)[2]
-        ests = [estimate_phi(PBall(n, p), samples, s) for s in seeds]
+    for body, ref, v_rb in cells:
+        ests = [estimate_phi(body, samples, s) for s in seeds]
         v = np.array([e.stderr**2 * samples for e in ests])
         sd_mean = v.std(ddof=1) / math.sqrt(len(v))
-        assert abs(v.mean() - v_rb) <= 4.0 * sd_mean, (n, p, v.mean(), v_rb)
+        assert abs(v.mean() - v_rb) <= 4.0 * sd_mean, (body, v.mean(), v_rb)
         z += [(e.estimate - ref) / e.stderr for e in ests]
     share = np.mean(np.abs(z) <= 2.0)
     assert abs(share - 0.95) <= 4.0 * math.sqrt(0.95 * 0.05 / len(z)), share
@@ -576,7 +653,7 @@ def test_exact_variance_ratios(pball_variances, boundary_var):
     # points, within 4 of its standard deviations sqrt((mu_4 - s^4) / N)
     idx = np.arange(100_000, dtype=np.uint64)
     for n, p in ((3, 1.5), (8, math.inf)):
-        u = _dispatch_sample(PBall(n, p), 5, idx, boundary=True)
+        u = _dispatch_sample(PBall(n, p), 5, idx)
         dev = np.einsum("ij,ij->i", u, u)
         dev -= dev.mean()
         s2 = np.mean(dev**2)
@@ -585,8 +662,8 @@ def test_exact_variance_ratios(pball_variances, boundary_var):
         assert abs(s2 - ref) <= 4.0 * sd, (n, p, s2, ref)
     # V_pair against the sample variance of <x, y>^2 over 1e5 pairs
     v_pair = pball_variances(3, 1.5)[0]
-    x = _dispatch_sample(PBall(3, 1.5), 5, 2 * idx)
-    y = _dispatch_sample(PBall(3, 3.0), 5, 2 * idx + 1)
+    x = _interior(PBall(3, 1.5), 5, 2 * idx)
+    y = _interior(PBall(3, 3.0), 5, 2 * idx + 1)
     dev = np.einsum("ij,ij->i", x, y) ** 2
     dev -= dev.mean()
     s2 = np.mean(dev**2)
