@@ -23,7 +23,8 @@ as inside; no tolerance).  The polar of every variant resolves structurally:
     simplex deg = the simplex scaled by -n (vertices -n v_i)
 
 so polar membership is primal membership in the resolved body.  The regular
-simplex is the single non-symmetric variant (flagged via .symmetric); its
+simplex is the single non-symmetric variant (.symmetric is a fact of each
+type, and a product or linear image is symmetric when its parts are); its
 n+1 unit vertices have pairwise inner product -1/n and sum to zero, which
 makes the -n scaling of the polar exact.
 """
@@ -31,6 +32,7 @@ makes the -n scaling of the polar exact.
 import json
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,6 +44,10 @@ PRIMAL = "primal"
 POLAR = "polar"
 
 _COND_LIMIT = 1e14
+# bodies on the longest root-to-leaf path of a description: a x_p chain of
+# 200 intervals, the most the CLI's 200-dimension cap admits, is 200 deep
+_MAX_DEPTH = 200
+_TOO_DEEP = f"body description nests deeper than {_MAX_DEPTH} levels"
 
 
 def _check_side(side: str) -> str:
@@ -71,15 +77,15 @@ def _p_to_json(p: float):
 class Interval:
     """The 1-dimensional body [-1, 1]; self-polar."""
 
-    dim: int = 1
-    symmetric: bool = True
+    dim: ClassVar[int] = 1
+    symmetric: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
 class PBall:
     dim: int
     p: float
-    symmetric: bool = True
+    symmetric: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -89,18 +95,21 @@ class Product:
     p: float
     left: object
     right: object
-    symmetric: bool = True
 
     @property
     def dim(self) -> int:
         return self.left.dim + self.right.dim
+
+    @property
+    def symmetric(self) -> bool:
+        return self.left.symmetric and self.right.symmetric
 
 
 @dataclass(frozen=True)
 class Revolution:
     dim: int
     profile: RevolutionProfile
-    symmetric: bool = True
+    symmetric: ClassVar[bool] = True
 
 
 @dataclass(frozen=True)
@@ -123,7 +132,7 @@ class Simplex:
     """Regular simplex: n+1 unit vertices, centroid at the origin."""
 
     dim: int
-    symmetric: bool = False
+    symmetric: ClassVar[bool] = False
 
     @property
     def vertices(self) -> np.ndarray:
@@ -170,7 +179,10 @@ def _simplex_facet_scale(n: int) -> float:
 
 
 def make_linear_image(matrix, inner) -> LinearImage:
-    T = np.array(matrix, dtype=np.float64)
+    try:
+        T = np.array(matrix, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DomainError("matrix must be a square array of numbers")
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise DomainError(f"matrix must be square, got shape {T.shape}")
     if not np.all(np.isfinite(T)):
@@ -212,7 +224,9 @@ def _parse_dim(obj) -> int:
     return dim
 
 
-def _parse_obj(obj) -> object:
+def _parse_obj(obj, depth=1) -> object:
+    if depth > _MAX_DEPTH:
+        raise DomainError(_TOO_DEEP)
     if not isinstance(obj, dict):
         raise DomainError(f"body description must be an object, got {type(obj).__name__}")
     btype = obj.get("type")
@@ -223,8 +237,8 @@ def _parse_obj(obj) -> object:
         _require_keys(obj, {"type", "p", "left", "right"})
         return Product(
             p=_parse_p(obj["p"]),
-            left=_parse_obj(obj["left"]),
-            right=_parse_obj(obj["right"]),
+            left=_parse_obj(obj["left"], depth + 1),
+            right=_parse_obj(obj["right"], depth + 1),
         )
     if btype == "revolution":
         _require_keys(obj, {"type", "dim", "profile"})
@@ -234,7 +248,7 @@ def _parse_obj(obj) -> object:
         return Revolution(dim=dim, profile=parse_profile(obj["profile"]))
     if btype == "linear":
         _require_keys(obj, {"type", "matrix", "inner"})
-        return make_linear_image(obj["matrix"], _parse_obj(obj["inner"]))
+        return make_linear_image(obj["matrix"], _parse_obj(obj["inner"], depth + 1))
     if btype == "simplex":
         _require_keys(obj, {"type", "dim"})
         dim = _parse_dim(obj)
@@ -256,6 +270,8 @@ def parse_body(text) -> object:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"body description is not valid JSON at position {exc.pos}: {exc.msg}")
+    except RecursionError:
+        raise DomainError(_TOO_DEEP)
     return _parse_obj(obj)
 
 

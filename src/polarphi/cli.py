@@ -43,7 +43,7 @@ from .exact import (
 # set on the module attribute (a trace hook, a test's monkeypatch) is the
 # function that runs.
 _LAZY = (
-    "parse_body", "serialize_body", "DEFAULT_DIMS", "default_p_grid",
+    "parse_body", "serialize_body", "default_p_grid",
     "finite_difference_report", "monotonicity_report", "scan_p_argmax",
     "decomposition_report", "parse_profile", "profile_to_json", "parse_seed",
     "estimate_phi",
@@ -53,11 +53,10 @@ _LAZY = (
 def _load():
     """Bind every name of _LAZY that is not bound yet; a bound one is kept."""
     names = globals()
+    package = importlib.import_module(__package__)  # it resolves its exports
     for name in _LAZY:
         if name not in names:
-            # the package resolves its exports; DEFAULT_DIMS is not one of them
-            owner = ".harness" if name == "DEFAULT_DIMS" else __package__
-            names[name] = getattr(importlib.import_module(owner, __package__), name)
+            names[name] = getattr(package, name)
 
 
 def __getattr__(name):
@@ -274,7 +273,7 @@ def _cmd_verify_theorem(args):
 def _cmd_verify_harness(args):
     _load()
     reports = [monotonicity_report(), finite_difference_report(tolerance=args.tol_fd)]
-    reports.extend(scan_p_argmax(n) for n in DEFAULT_DIMS)
+    reports.extend(scan_p_argmax(n) for n in _VERIFY_DIMS)
     records = []
     ok = True
     for rep in reports:
@@ -296,9 +295,9 @@ def _cmd_verify_inequalities(args):
     records = []
     ok = True
     for n in _VERIFY_DIMS:
-        ball_product = inequality_report(n, 2.0, check=False).santalo_product
+        ball_product = inequality_report(n, 2.0).santalo_product
         for p in _VERIFY_PS_ALL:
-            rep = inequality_report(n, p, check=False)
+            rep = inequality_report(n, p)
             phi = rep.phi
             santalo_slack = ball_product - rep.santalo_product
             chain_slack = phi - rep.lower_bound
@@ -329,7 +328,12 @@ def _cmd_revolution(args):
     if dim < 2:
         raise DomainError(f"revolution bodies need dim >= 2, got {dim}")
     spec = args.profile.strip()
-    profile = parse_profile(json.loads(spec) if spec.startswith("{") else spec)
+    if spec.startswith("{"):
+        try:
+            spec = json.loads(spec)
+        except (ValueError, RecursionError):
+            raise DomainError(f"--profile is not a valid JSON grid: {args.profile!r}")
+    profile = parse_profile(spec)
     report = decomposition_report(profile, dim)
     prof_json = profile_to_json(profile)
     rec = {

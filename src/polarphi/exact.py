@@ -50,7 +50,7 @@ cap of 200 (volumes merely become denormal-small, their logs stay modest).
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError
 from .specfun import log_beta, log_gamma
 
 PHI_INTERVAL = 1.0 / 9.0  # phi([-1,1]): (1/4) * (Int_{-1}^{1} t^2 dt)^2
@@ -277,22 +277,13 @@ def phi_combine(phiA: float, n: int, phiB: float, m: int, p) -> float:
     ) * phiB
 
 
-def inequality_report(
-    n: int,
-    p,
-    *,
-    tol_santalo: float = 1e-10,
-    tol_chain: float = 1e-10,
-    tol_identity: float = 1e-10,
-    check: bool = True,
-) -> IsotropyReport:
-    """Volume-product and isotropy checks for B_p^n.
+def inequality_report(n: int, p) -> IsotropyReport:
+    """Volume-product and isotropy quantities for B_p^n; nothing is judged.
 
-    Asserts (unless check=False):
-      * santalo_product <= |B_2^n|^2 + tol_santalo   (volume-product bound)
-      * lower_bound     <= phi + tol_chain           (isotropy chain)
-      * identity_residual <= tol_identity * phi      (exact 1-unconditional
-        identity; residual is pure rounding)
+    The claims santalo_product <= |B_2^n|^2 (volume-product bound),
+    lower_bound <= phi (isotropy chain) and identity_residual ~ 0 (exact
+    1-unconditional identity; the residual is pure rounding) are judged by
+    `polarphi verify inequalities`, with its --tol-* flags.
     """
     n = _check_dim(n)
     pair = dual_exponent(p)
@@ -305,13 +296,12 @@ def inequality_report(
     L_sq = math.exp(_log_r(n, pair.p) - 2.0 / n * lv)
     L_polar_sq = math.exp(_log_r(n, pair.q) - 2.0 / n * lw)
     santalo = math.exp(lv + lw)
-    b2sq = math.exp(2.0 * lb2)
     # n |K|^{2/n} |K°|^{2/n} L_K^2 L_{K°}^2 collapses to n R(n, p) R(n, q)
     identity_value = phi_via_moments(n, pair.p).phi
     lower = n * math.exp(2.0 / n * (lv + lw) - 4.0 / n * lb2) / (n + 2.0) ** 2
     residual = abs(phi - identity_value)
 
-    report = IsotropyReport(
+    return IsotropyReport(
         dim=n,
         p=pair.p,
         phi=phi,
@@ -321,20 +311,3 @@ def inequality_report(
         lower_bound=lower,
         identity_residual=residual,
     )
-    if check:
-        if santalo > b2sq + tol_santalo:
-            raise VerificationError(
-                f"volume product exceeds the euclidean bound at (n={n}, p={pair.p}): "
-                f"{santalo!r} > {b2sq!r}"
-            )
-        if lower > phi + tol_chain:
-            raise VerificationError(
-                f"isotropy chain lower bound exceeds phi at (n={n}, p={pair.p}): "
-                f"{lower!r} > {phi!r}"
-            )
-        if residual > tol_identity * phi:
-            raise VerificationError(
-                f"isotropy identity residual too large at (n={n}, p={pair.p}): "
-                f"{residual!r} vs phi {phi!r}"
-            )
-    return report

@@ -40,16 +40,11 @@ from .specfun import digamma, pentagamma, tetragamma, trigamma
 TIE_EPS = 1e-12
 
 DEFAULT_DIMS = (2, 3, 5, 10, 20)
-DEFAULT_PAIR_GRID = ((1.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.5, 7.5), (5.0, 20.0))
 
-
-def default_x_grid() -> np.ndarray:
-    # open-interval domain: psi poles sit at x in {0, 1}, keep a margin
-    return np.linspace(1e-3, 1.0 - 1e-3, 101)
-
-
-def default_y_grid() -> np.ndarray:
-    return np.geomspace(0.1, 50.0, 33)
+# the grids of monotonicity_report; x stays clear of the psi poles at {0, 1}
+_X_GRID = np.linspace(1e-3, 1.0 - 1e-3, 101)
+_Y_GRID = np.geomspace(0.1, 50.0, 33)
+_PAIR_GRID = ((1.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.5, 7.5), (5.0, 20.0))
 
 
 def default_p_grid() -> list:
@@ -149,8 +144,9 @@ def scan_p_argmax(n: int, p_grid=None, *, tolerance: float = 1e-12) -> GridRepor
     """phi(B_p^n) over a p-grid; asserts the maximum sits exactly at p = 2.
 
     The grid must contain 2 and both endpoint exponents {1, inf}.  Violations
-    collect every p with phi(p) > phi(2) + tolerance and any p != 2 that ties
-    or beats phi(2) outright (the maximum must be strict).
+    collect, once each, every p with phi(p) > phi(2) + tolerance and any
+    p != 2 that ties or beats phi(2) outright (the maximum must be strict),
+    so an argmax other than 2 is among them.
     """
     if p_grid is None:
         p_grid = default_p_grid()
@@ -169,8 +165,6 @@ def scan_p_argmax(n: int, p_grid=None, *, tolerance: float = 1e-12) -> GridRepor
         if v > phi2 + tolerance or margin >= 0.0:
             violations.append((p, v))
     argmax_p = p_grid[int(np.argmax(values))]
-    if argmax_p != 2.0:
-        violations.append((argmax_p, max(values)))
     return GridReport(
         description=f"phi(B_p^{n}) argmax scan over {len(p_grid)} exponents",
         grid=p_grid,
@@ -182,7 +176,7 @@ def scan_p_argmax(n: int, p_grid=None, *, tolerance: float = 1e-12) -> GridRepor
     )
 
 
-def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
+def monotonicity_report() -> GridReport:
     """Sign and monotonicity sweep over every pointwise claim in the chain.
 
     Checks, with ties at 1e-12 counted as violations:
@@ -192,9 +186,7 @@ def monotonicity_report(x_grid=None, y_grid=None, pair_grid=None) -> GridReport:
       * G < 0 on x in (0, 1/2), G > 0 on (1/2, 1) (0.5 itself excluded);
       * x^2 psi'(x) convex: second-derivative expression > 0 on a log grid.
     """
-    xs = default_x_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
-    ys = default_y_grid() if y_grid is None else np.asarray(y_grid, dtype=float)
-    pairs = DEFAULT_PAIR_GRID if pair_grid is None else tuple(pair_grid)
+    xs, ys, pairs = _X_GRID, _Y_GRID, _PAIR_GRID
     margins = []  # one per check: the signed distance to a violation
     violations = []
 

@@ -114,7 +114,10 @@ def _NP_EVAL(profile, t):
 
 
 def _validate_grid(pairs) -> np.ndarray:
-    knots = np.asarray(pairs, dtype=np.float64)
+    try:
+        knots = np.asarray(pairs, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        knots = np.empty(0)
     if knots.ndim != 2 or knots.shape[1] != 2 or knots.shape[0] < 2:
         raise DomainError("grid profile must be a list of [t, r] pairs")
     t = knots[:, 0]
@@ -286,7 +289,16 @@ def profile_integrals(profile: RevolutionProfile, n: int):
 
 
 def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
-    """phi of the revolution body with the given profile in dimension n >= 2."""
+    """phi of the revolution body with the given profile in dimension n >= 2.
+
+    Four bounds are judged, and a violation is raised, not reported: the
+    second summand is at most phi(B_2^{n-1}), santalo_ratio <= 1, phi is at
+    most the ball's n/(n+2)^2 (the conjecture), and the section-moment
+    window.  The 1-D marginal of the volume-normalized body along the axis
+    is a symmetric log-concave density (r^{n-1} is log-concave since r is
+    concave), so f(0)^2 sigma^2 must land in [1/12, 1/2] (Hensley); the
+    cube attains the left endpoint.
+    """
     m0_1, m2_1, mp_1 = profile_integrals(profile, n)
     m0_2, m2_2, mp_2 = profile_integrals(polar_profile(profile), n)
     phi_slice = phi_pball(n - 1, 2.0).phi
@@ -329,22 +341,13 @@ def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
             "conjecture -- inspect the profile and the moments before "
             "trusting anything downstream"
         )
-    return report
-
-
-def decomposition_report(profile: RevolutionProfile, n: int) -> RevolutionReport:
-    """phi_revolution plus the two-sided section-moment window assertion.
-
-    The 1-D marginal of the volume-normalized body along the axis is a
-    symmetric log-concave density (r^{n-1} is log-concave since r is concave),
-    so f(0)^2 sigma^2 must land in [1/12, 1/2]; the cube attains the left
-    endpoint.  A violation is raised, not reported.
-    """
-    report = phi_revolution(profile, n)
-    h = report.hensley_product_sq
-    if not (1.0 / 12.0 - 1e-9 <= h <= 0.5 + 1e-9):
+    if not (1.0 / 12.0 - 1e-9 <= hensley <= 0.5 + 1e-9):
         raise VerificationError(
-            f"section-moment product {h!r} escapes [1/12, 1/2]: impossible for "
-            "a log-concave marginal, so the moments are inconsistent"
+            f"section-moment product {hensley!r} escapes [1/12, 1/2]: impossible "
+            "for a log-concave marginal, so the moments are inconsistent"
         )
     return report
+
+
+# the name the revolution command calls; perfbench/spans.py times that call
+decomposition_report = phi_revolution

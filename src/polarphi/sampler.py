@@ -427,10 +427,12 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     group's sums of u u^T and v v^T are kept.  The stderr comes from the two
     Hoeffding projections: with group means Sbar^g, w_g = tr(Sbar_x^g S_y)
     + tr(S_x Sbar_y^g), and stderr = sqrt(sum_g (w_g - wbar)^2 / (G(G-1))).
-    Pairs are drawn in blocks of about _BLOCK = 32,768 indices, each block
-    made of whole groups while there are at most G blocks, so memory is
-    O(block * n + G * n^2) with no term in M, and the result is
-    bit-identical to summing each group over all its draws at once.
+    Pairs are drawn in blocks of about _BLOCK = 32,768 indices, so memory is
+    O(block * n + G * n^2) with no term in M.  While there are at most G
+    blocks (round(M / _BLOCK) <= 64, so M below about 2.1 million), each
+    block is made of whole groups, and the result is bit-identical to
+    summing each group over all its draws at once.  Past that, a group's
+    sums add up over several blocks and agree with those only to rounding.
     """
     if samples < 2:
         raise DomainError(f"need at least 2 samples, got {samples}")

@@ -227,7 +227,7 @@ def test_criterion_8_inequality_reports():
         ball = pp.phi_pball(n, 2.0)
         ball_product = ball.volume * ball.polar_volume
         for p in grid:
-            rep = pp.inequality_report(n, p)  # raises on violation already
+            rep = pp.inequality_report(n, p)
             phi = rep.phi
             worst_santalo = max(worst_santalo, (rep.santalo_product - ball_product) / ball_product)
             worst_chain = max(worst_chain, (rep.lower_bound - phi) / phi)

@@ -98,6 +98,29 @@ def test_linear_matrix_errors():
         parse_body(json.dumps({"type": "linear", "matrix": [[1, 0], [1, 0]], "inner": inner}))
     with pytest.raises(DomainError, match="singular"):
         make_linear_image(np.diag([1.0, 1e-15]), PBall(2, 2.0))
+    for matrix in ([[1, 0], [0]], [[1, 0], [0, "one"]]):  # ragged, not numbers
+        with pytest.raises(DomainError, match="square array"):
+            parse_body(json.dumps({"type": "linear", "matrix": matrix, "inner": inner}))
+
+
+def _chain(depth):
+    """A x_p chain of `depth` bodies, depth - 1 products and the last interval,
+    with alternating p so that no two nested nodes merge."""
+    body = {"type": "interval"}
+    for k in range(depth - 1):
+        body = {"type": "product", "p": (1, "inf")[k % 2], "left": {"type": "interval"}, "right": body}
+    return body
+
+
+def test_nesting_limit():
+    # 200 deep admits the longest x_p chain of the 200-dimension cap
+    deep = parse_body(json.dumps(_chain(200)))
+    assert deep.dim == 200
+    assert parse_body(serialize_body(deep)) == deep
+    assert polar_body(deep).dim == 200
+    for too_deep in (_chain(201), json.dumps(_chain(201))):
+        with pytest.raises(DomainError, match="deeper than 200"):
+            parse_body(too_deep)
 
 
 def test_membership_hand_values():
@@ -227,6 +250,22 @@ def test_simplex_construction():
         assert np.abs(v.sum(axis=0)).max() <= 1e-12
     assert not Simplex(2).symmetric
     assert PBall(2, 1.0).symmetric
+
+
+def test_symmetry_is_a_fact_of_the_type():
+    # a product or linear image is symmetric exactly when its parts are;
+    # no constructor can set the flag or the interval's dimension
+    assert not Product(2.0, Simplex(2), Interval()).symmetric
+    assert not Product(2.0, Interval(), Product(1.0, PBall(2, 3.0), Simplex(2))).symmetric
+    assert Product(2.0, PBall(2, 3.0), Interval()).symmetric
+    assert not make_linear_image(np.eye(2), Simplex(2)).symmetric
+    assert parse_body(DOCS[4]).symmetric and not parse_body(DOCS[3]).symmetric
+    assert Interval().dim == 1
+    for make in (lambda: Interval(dim=3), lambda: Simplex(2, symmetric=True),
+                 lambda: PBall(2, 1.0, symmetric=False),
+                 lambda: Product(2.0, Simplex(2), Interval(), symmetric=True)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_simplex_membership():

@@ -196,6 +196,33 @@ def test_verify_respects_tolerance_flags():
     assert any(r["status"] == "fail" for r in rows)
 
 
+def test_verify_inequalities_is_the_one_judge(capsys):
+    # inequality_report only computes: the command's --tol-* flags decide
+    def run(*flags):
+        code = cli.main(["verify", "inequalities", *flags])
+        return code, json.loads(capsys.readouterr().out)
+
+    code, rows = run("--tol-santalo", "0")
+    assert code == 0 and all(r["status"] == "pass" for r in rows)
+    # the ball's slack is exactly 0 at p = 2, and positive at every other p
+    code, rows = run("--tol-santalo=-1e-300")
+    assert code == 1
+    assert sorted(r["dim"] for r in rows if r["status"] == "fail") == list(cli._VERIFY_DIMS)
+    assert all(r["p"] == 2.0 for r in rows if r["status"] == "fail")
+    assert run("--tol-chain=-1")[0] == 1
+    assert run("--tol-identity=-1")[0] == 1
+
+
+def test_deeply_nested_body_is_invalid_input():
+    # json.loads gives up near 1,000 levels; the reader must say so on one line
+    depth = 1100
+    body = '{"type": "linear", "matrix": [[2]], "inner": ' * depth + '{"type": "interval"}' + "}" * depth
+    res = run_cli("phi", "mc", "--body", "-", "--samples", "100", "--seed", "1", stdin=body)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: invalid-input:")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
 def test_revolution_command():
     res = run_cli("revolution", "--profile", "cylinder", "--dim", "2")
     assert res.returncode == 0, res.stderr
@@ -208,6 +235,8 @@ def test_revolution_command():
     grid = run_cli("revolution", "--profile", '{"grid": [[-1, 0], [0, 1], [1, 0]]}', "--dim", "2")
     assert grid.returncode == 0
     assert run_cli("revolution", "--profile", "egg", "--dim", "3").returncode == 2
+    bad = run_cli("revolution", "--profile", '{"grid": [[-1, 0], [0, 1], [1, 0]', "--dim", "2")
+    assert bad.returncode == 2 and len(bad.stderr.strip().splitlines()) == 1
     assert run_cli("revolution", "--profile", "ball", "--dim", "1").returncode == 2
     # the moments are exact, so there is no quadrature tolerance to set
     assert run_cli("revolution", "--profile", "ball", "--dim", "3", "--tol-quad", "1e-9").returncode == 2

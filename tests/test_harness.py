@@ -13,12 +13,14 @@ the implementation was written (so they are independent of it):
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarphi import harness
 from polarphi.errors import DomainError
 from polarphi.exact import f_factor
 from polarphi.harness import (
@@ -110,6 +112,22 @@ def test_scan_argmax_defaults():
         assert rep.passed, (n, rep.violations[:5])
         assert rep.extras["argmax_p"] == 2.0
         assert abs(rep.extras["phi_at_2"] - n / (n + 2.0) ** 2) <= 1e-12
+
+
+def test_scan_records_a_losing_argmax_once(monkeypatch):
+    # an exponent that beats p = 2 is one violation, whether or not it is
+    # also the argmax
+    real = harness.phi_pball
+
+    def phi_pball(n, p):
+        bd = real(n, p)
+        return replace(bd, phi=bd.phi + 0.01) if p == 3.0 else bd
+
+    monkeypatch.setattr(harness, "phi_pball", phi_pball)
+    rep = scan_p_argmax(3, [1.0, 2.0, 3.0, math.inf])
+    assert rep.extras["argmax_p"] == 3.0
+    assert rep.violations == [(3.0, rep.values[2])]
+    assert not rep.passed
 
 
 def test_scan_grid_preconditions():

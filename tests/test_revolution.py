@@ -32,7 +32,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from polarphi.errors import DomainError
+from polarphi import revolution
+from polarphi.errors import DomainError, VerificationError
 from polarphi.exact import PHI_INTERVAL, phi_combine, phi_pball
 from polarphi.revolution import (
     _gauss_legendre,
@@ -151,6 +152,21 @@ def test_report_invariants():
         assert rep.extras["scaled_first_summand"] == n**2 * rep.first_summand
 
 
+def test_phi_revolution_judges_the_section_moment_window(monkeypatch):
+    # the ball's moments with m2 scaled by 1e-3 keep the other three bounds
+    # (the first summand only shrinks) but put m2 / m0^3 below 1/12
+    assert decomposition_report is phi_revolution
+    real = revolution.profile_integrals
+
+    def profile_integrals(profile, n):
+        m0, m2, mp = real(profile, n)
+        return m0, 1e-3 * m2, mp
+
+    monkeypatch.setattr(revolution, "profile_integrals", profile_integrals)
+    with pytest.raises(VerificationError, match="1/12"):
+        phi_revolution(parse_profile("ball"), 3)
+
+
 def test_ball3_hensley():
     rep = phi_revolution(parse_profile("ball"), 3)
     assert abs(rep.hensley_product_sq - 9.0 / 80.0) <= 1e-10
@@ -179,6 +195,10 @@ def test_grid_validation_rejections():
         parse_profile({"grid": [[-0.5, 1.0], [0.5, 1.0]]})
     with pytest.raises(DomainError):
         parse_profile({"grid": [[-1.0, 1.0]]})  # too few knots
+    with pytest.raises(DomainError):
+        parse_profile({"grid": [[-1.0, 0.0], [0.0], [1.0, 0.0]]})  # ragged
+    with pytest.raises(DomainError):
+        parse_profile({"grid": [[-1.0, 0.0], [0.0, "one"], [1.0, 0.0]]})
     with pytest.raises(DomainError):
         parse_profile({"grid": [[-1.0, 1.0], [0.0, -0.5], [1.0, 1.0]]})  # negative r
     with pytest.raises(DomainError):

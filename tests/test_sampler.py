@@ -12,7 +12,8 @@ Distributional oracles (independent closed forms):
     is checked against it over fixed seeds, with the coverage of +/- 2
     stderr;
   * every rule draws a cone-measure point u with g(u) = 1, and its moments
-    match the exact ones: the Dirichlet law of (|u_j|^p) on p-balls, the
+    match the exact ones: the Dirichlet law of (|u_j|^p) on p-balls, E u u^T
+    on simplices, mixed-p products, named profiles and linear images, the
     profile moments on grid revolution bodies;
   * phi is linear invariant, and the estimator drops every linear map of
     the body, inside x_p factors too, so the estimate for T K is the
@@ -440,6 +441,31 @@ def test_cone_measure_moments_match_exact_values(cone_moment, boundary_var):
         s2 = np.mean(dev**2)
         sd = math.sqrt((np.mean(dev**4) - s2**2) / count)
         assert abs(s2 - boundary_var(n, p)) <= 4.0 * sd, (n, p, s2, boundary_var(n, p))
+    # the other rules against exact E u u^T.  Simplex: I/n^2 (its n + 1 unit
+    # vertices are a tight frame).  A x_p node of A and B: its blocks are
+    # E W^{2/p} E u_A u_A^T and E (1-W)^{2/p} E u_B u_B^T with W ~ Beta(n_A/p,
+    # n_B/p), and its off-diagonal block is 0; the named profile pball:P is
+    # [-1, 1] x_P B_2^{n-1}, whose sphere part has E u u^T = I/(n-1).  A
+    # linear image T K: T E u u^T T^T
+    def share(na, nb, p):  # E W^{2/p} = B((n_A+2)/p, n_B/p) / B(n_A/p, n_B/p)
+        def lbeta(a, b):
+            return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        return math.exp(lbeta((na + 2) / p, nb / p) - lbeta(na / p, nb / p))
+
+    tri = np.array([[1.0, 0.5, -2.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.5]])
+    exact = [(Simplex(n), np.eye(n) / n**2) for n in (2, 3, 5)]
+    exact += [
+        (Product(1.5, PBall(2, 3.0), Simplex(2)),
+         np.diag([share(2, 2, 1.5) * cone_moment(2, 3.0, (2,))] * 2 + [share(2, 2, 1.5) / 4] * 2)),
+        (parse_body({"type": "revolution", "dim": 4, "profile": "pball:3"}),
+         np.diag([share(1, 3, 3.0)] + [share(3, 1, 3.0) / 3] * 3)),
+        (make_linear_image(tri, Simplex(3)), tri @ tri.T / 9),
+    ]
+    for body, ref in exact:
+        u = _dispatch_sample(body, 12, idx)
+        for i in range(body.dim):
+            for j in range(i, body.dim):
+                close(u[:, i] * u[:, j], ref[i, j], (body, i, j))
     # grids: n/(n+2) E u_t^2 = m2 / m0 and n/(n+2) E |u_y|^2 = (n - 1) m+ / ((n + 1) m0)
     for grid in (README_GRID, FLAT_TOP_GRID):
         for n in (2, 3, 10):
