@@ -43,10 +43,9 @@ from .exact import (
 # set on the module attribute (a trace hook, a test's monkeypatch) is the
 # function that runs.
 _LAZY = (
-    "parse_body", "serialize_body", "default_p_grid",
-    "finite_difference_report", "monotonicity_report", "scan_p_argmax",
-    "decomposition_report", "parse_profile", "profile_to_json", "parse_seed",
-    "estimate_phi",
+    "parse_body", "serialize_body", "finite_difference_report", "monotonicity_report",
+    "scan_p_argmax", "decomposition_report", "parse_profile", "profile_to_json",
+    "parse_seed", "estimate_phi",
 )
 
 
@@ -95,6 +94,17 @@ def _p_value(text) -> float:
         raise DomainError(f"p must be a decimal number or 'inf', got {text!r}")
     if math.isnan(v) or v < 1.0:
         raise DomainError(f"p must lie in [1, inf], got {text!r}")
+    return v
+
+
+def _tolerance(text) -> float:
+    """argparse type of the --tol-* flags: any finite float, negative included."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
     return v
 
 
@@ -200,8 +210,7 @@ def _parse_grid(text):
 def _cmd_scan(args):
     _load()
     dim = _check_cap(args.dim, DIM_CAP_EXACT, "exact evaluation")
-    grid = _parse_grid(args.grid) if args.grid else default_p_grid()
-    report = scan_p_argmax(dim, grid, tolerance=args.tol_max)
+    report = scan_p_argmax(dim, _parse_grid(args.grid) if args.grid else None)
     phi2 = report.extras["phi_at_2"]
     records = []
     for p, v in zip(report.grid, report.values):
@@ -392,25 +401,24 @@ def build_parser() -> _Parser:
     scan = sub.add_parser("scan", help="phi over a p-grid; maximum must sit at p = 2")
     scan.add_argument("--dim", type=int, required=True)
     scan.add_argument("--grid", help="comma-separated p values (must include 1, 2, inf)")
-    scan.add_argument("--tol-max", type=float, default=1e-12, dest="tol_max")
     scan.set_defaults(func=_cmd_scan)
 
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
     vt = vsub.add_parser("theorem", help="product decomposition + duality")
-    vt.add_argument("--tol-match", type=float, default=1e-10, dest="tol_match")
-    vt.add_argument("--tol-duality", type=float, default=1e-12, dest="tol_duality")
+    vt.add_argument("--tol-match", type=_tolerance, default=1e-10, dest="tol_match")
+    vt.add_argument("--tol-duality", type=_tolerance, default=1e-12, dest="tol_duality")
     vt.set_defaults(func=_cmd_verify_theorem)
 
     vh = vsub.add_parser("harness", help="monotonicity, signs, derivative identities")
-    vh.add_argument("--tol-fd", type=float, default=1e-5, dest="tol_fd")
+    vh.add_argument("--tol-fd", type=_tolerance, default=1e-5, dest="tol_fd")
     vh.set_defaults(func=_cmd_verify_harness)
 
     vi = vsub.add_parser("inequalities", help="volume products and isotropy chain")
-    vi.add_argument("--tol-santalo", type=float, default=1e-10, dest="tol_santalo")
-    vi.add_argument("--tol-chain", type=float, default=1e-10, dest="tol_chain")
-    vi.add_argument("--tol-identity", type=float, default=1e-10, dest="tol_identity")
+    vi.add_argument("--tol-santalo", type=_tolerance, default=1e-10, dest="tol_santalo")
+    vi.add_argument("--tol-chain", type=_tolerance, default=1e-10, dest="tol_chain")
+    vi.add_argument("--tol-identity", type=_tolerance, default=1e-10, dest="tol_identity")
     vi.set_defaults(func=_cmd_verify_inequalities)
 
     rev = sub.add_parser("revolution", help="phi decomposition for a revolution body")

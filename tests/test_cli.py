@@ -7,6 +7,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from polarphi import cli
 
 PY = [sys.executable, "-m", "polarphi.cli"]
@@ -113,6 +115,11 @@ def test_f_eval():
     res = run_cli("f-eval", "--y1", "1", "--y2", "2", "--p", "2")
     assert res.returncode == 0
     assert abs(json.loads(res.stdout)[0]["value"] - 9.0 / 16.0) <= 1e-12
+    for y2 in ("1e200", "1e308"):  # beyond f_factor's y2 bound: no OverflowError
+        res = run_cli("f-eval", "--y1", "1", "--y2", y2, "--p", "1.5")
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: invalid-input:")
+        assert len(res.stderr.strip().splitlines()) == 1
 
 
 def test_scan_small_grid():
@@ -125,6 +132,8 @@ def test_scan_small_grid():
     assert all(r["margin"] < 0.0 for r in rows if r["p"] != 2.0)
     assert "argmax p=2" in res.stderr  # diagnostics on stderr, report on stdout
     assert run_cli("scan", "--dim", "3", "--grid", "1,2,4").returncode == 2  # no inf
+    # the maximum must be strict, so there is no tolerance to set
+    assert run_cli("scan", "--dim", "3", "--tol-max", "1e-12").returncode == 2
 
 
 def test_verify_suites():
@@ -194,6 +203,25 @@ def test_verify_respects_tolerance_flags():
     assert res.returncode == 1  # roundoff alone must now register as violation
     rows = json.loads(res.stdout)
     assert any(r["status"] == "fail" for r in rows)
+
+
+def test_verify_tolerances_must_be_finite(capsys):
+    for argv in (
+        ["theorem", "--tol-match", "nan"],
+        ["theorem", "--tol-match", "inf"],
+        ["theorem", "--tol-duality=-inf"],
+        ["harness", "--tol-fd", "nan"],
+        ["inequalities", "--tol-santalo", "nan"],
+        ["inequalities", "--tol-chain", "nan"],
+        ["inequalities", "--tol-identity", "inf"],
+        ["inequalities", "--tol-chain", "tight"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert err.startswith("error: invalid-input:"), argv
+        assert len(err.strip().splitlines()) == 1, argv
 
 
 def test_verify_inequalities_is_the_one_judge(capsys):

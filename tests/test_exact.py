@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from polarphi import cli
 from polarphi.errors import DomainError
 from polarphi.exact import (
+    F_FACTOR_Y2_MAX,
     PHI_INTERVAL,
     dual_exponent,
     f_factor,
@@ -295,6 +296,32 @@ def test_inequality_report_fields_and_checks():
     assert rep.santalo_product <= b2.volume * b2.polar_volume + 1e-10
     assert rep.lower_bound <= phi_pball(3, 1.5).phi + 1e-10
     assert rep.identity_residual <= 1e-10 * phi_pball(3, 1.5).phi
+
+
+def _f_factor_mpmath(y1, y2, p):
+    with mpmath.workdps(60):
+        y1, y2, p = mpmath.mpf(y1), mpmath.mpf(y2), mpmath.mpf(p)
+        q = p / (p - 1)
+        lg = mpmath.loggamma
+        lf = (
+            2 * (mpmath.log(y1 + 2) + mpmath.log(y2) - mpmath.log(y1) - mpmath.log(y2 + 2))
+            + lg((y1 + 2) / p) + lg((y1 + 2) / q) + lg(y2 / p) + lg(y2 / q)
+            - lg((y2 + 2) / p) - lg((y2 + 2) / q) - lg(y1 / p) - lg(y1 / q)
+        )
+        return mpmath.exp(lf)
+
+
+def test_f_factor_agrees_with_mpmath_up_to_its_y2_bound():
+    y2 = F_FACTOR_Y2_MAX
+    for y1 in (1e-3, 1.0, 100.0, y2 - 1.0):
+        for p in (1.000001, 1.5, 3.0, 1e6):
+            ref = _f_factor_mpmath(y1, y2, p)
+            assert float(abs(f_factor(y1, y2, p) - ref) / ref) <= 1e-10, (y1, p)
+    # above the bound the log-space sum loses digits, then overflows
+    for big in (math.nextafter(y2, math.inf), 1e15, 1e308, math.inf):
+        for p in (1.0, 1.5, math.inf):
+            with pytest.raises(DomainError):
+                f_factor(1.0, big, p)
 
 
 def test_domain_errors():

@@ -24,7 +24,6 @@ from polarphi import harness
 from polarphi.errors import DomainError
 from polarphi.exact import f_factor
 from polarphi.harness import (
-    DEFAULT_DIMS,
     F_eval,
     G_eval,
     GridReport,
@@ -146,11 +145,51 @@ def test_default_p_grid_contents():
     assert grid == sorted(grid)
 
 
-def test_grid_report_passed_logic():
-    good = GridReport("d", [1.0], [0.0], [], max_residual=0.0, tolerance=1e-9)
+def test_grid_report_passes_when_it_has_no_violations():
+    # max_residual and tolerance are reported numbers; the violations judge
+    good = GridReport("d", [1.0], [0.0], [], max_residual=1.0, tolerance=1e-9)
     bad = GridReport("d", [1.0], [0.0], [("x", 1.0)], max_residual=0.0, tolerance=1e-9)
-    worse = GridReport("d", [1.0], [0.0], [], max_residual=1.0, tolerance=1e-9)
-    assert good.passed and not bad.passed and not worse.passed
+    assert good.passed and not bad.passed
+
+
+def _nan_at(monkeypatch, name, point):
+    """Make harness.<name> return NaN at one argument tuple."""
+    real = getattr(harness, name)
+
+    def patched(*args):
+        return math.nan if args == point else real(*args)
+
+    monkeypatch.setattr(harness, name, patched)
+
+
+def _nan_violations(rep):
+    return [v for _, v in rep.violations if math.isnan(v)]
+
+
+def test_scan_counts_a_nan_phi_as_a_violation(monkeypatch):
+    real = harness.phi_pball
+    monkeypatch.setattr(
+        harness, "phi_pball",
+        lambda n, p: replace(real(n, p), phi=math.nan) if p == 3.0 else real(n, p),
+    )
+    rep = scan_p_argmax(3, [1.0, 2.0, 3.0, math.inf])
+    assert not rep.passed
+    assert [p for p, _ in rep.violations] == [3.0]
+
+
+def test_monotonicity_counts_a_late_nan_as_a_violation(monkeypatch):
+    # one F value deep in the sweep, long after the first check
+    _nan_at(monkeypatch, "F_eval", (float(harness._X_GRID[-1]), float(harness._Y_GRID[16])))
+    rep = monotonicity_report()
+    assert not rep.passed
+    assert len(_nan_violations(rep)) == len(rep.violations) == 2  # both neighbouring steps
+
+
+def test_finite_differences_count_a_nan_as_a_violation(monkeypatch):
+    _nan_at(monkeypatch, "G_eval", (0.75, 8.0))
+    rep = finite_difference_report()
+    assert not rep.passed
+    assert rep.violations and len(_nan_violations(rep)) == len(rep.violations)
 
 
 def test_eval_domain_errors():

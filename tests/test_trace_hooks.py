@@ -26,7 +26,6 @@ import numpy as np
 
 from polarphi import cli
 from polarphi.bodies import POLAR, PRIMAL, parse_body
-from polarphi.harness import DEFAULT_DIMS
 from polarphi.sampler import sample_body
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -115,4 +114,4 @@ def test_cli_hooks_hold_in_a_fresh_interpreter(tmp_path):
     assert spans.count("sampler.reduce") == 1
     assert spans.count("revolution.report") == 1
     # scan, then verify harness: monotonicity, finite differences, one scan per dim
-    assert spans.count("harness.report") == 3 + len(DEFAULT_DIMS)
+    assert spans.count("harness.report") == 3 + len(cli._VERIFY_DIMS)
