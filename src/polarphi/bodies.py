@@ -328,17 +328,6 @@ def _pnorm_rows(pts: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _combine_p(gl: np.ndarray, gr: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.maximum(gl, gr)
-    m = np.maximum(gl, gr)
-    out = np.zeros_like(m)
-    pos = m > 0.0
-    gl_, gr_, m_ = gl[pos], gr[pos], m[pos]
-    out[pos] = m_ * ((gl_ / m_) ** p + (gr_ / m_) ** p) ** (1.0 / p)
-    return out
-
-
 def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
     """Named profiles: the l_P combination of |t| and |y|; grids: the support
     function of the polar section, max_i (|t| |s_i| + |y| r_i) over its knots.
@@ -349,7 +338,7 @@ def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
     t = np.abs(pts[:, 0])
     rho = np.linalg.norm(pts[:, 1:], axis=1)
     if spec.profile.kind != "grid":
-        return _combine_p(t, rho, spec.profile.exponent)
+        return _pnorm_rows(np.column_stack((t, rho)), spec.profile.exponent)
     knots = polar_profile(spec.profile).knots
     (s0, r0), *rest = knots[knots[:, 0] >= 0.0]
     out = t * s0 + rho * r0
@@ -371,11 +360,8 @@ def gauge_batch(spec, pts: np.ndarray) -> np.ndarray:
         return _pnorm_rows(pts, spec.p)
     if isinstance(spec, Product):
         nl = spec.left.dim
-        return _combine_p(
-            gauge_batch(spec.left, pts[:, :nl]),
-            gauge_batch(spec.right, pts[:, nl:]),
-            spec.p,
-        )
+        parts = (gauge_batch(spec.left, pts[:, :nl]), gauge_batch(spec.right, pts[:, nl:]))
+        return _pnorm_rows(np.column_stack(parts), spec.p)
     if isinstance(spec, Revolution):
         return _revolution_gauge(spec, pts)
     if isinstance(spec, LinearImage):

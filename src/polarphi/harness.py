@@ -79,6 +79,13 @@ class GridReport:
         return not self.violations
 
 
+def _worst(values, default: float) -> float:
+    """max(values), NaN if any value is NaN: max alone keeps only a leading NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values, default=default)
+
+
 def f1_eval(x: float, y1: float, y2: float) -> float:
     """f1(x) = f(y1, y2, 1/x) on [0, 1]; endpoints use the rational limit branch."""
     x = float(x)
@@ -155,12 +162,12 @@ def scan_p_argmax(n: int, p_grid=None) -> GridReport:
     values = [phi_pball(n, p).phi for p in p_grid]
     phi2 = values[p_grid.index(2.0)]
     violations = []
-    worst_margin = -math.inf
+    margins = []
     for p, v in zip(p_grid, values):
         if p == 2.0:
             continue
         margin = v - phi2  # must be strictly negative
-        worst_margin = max(worst_margin, margin)
+        margins.append(margin)
         if not margin < 0.0:
             violations.append((p, v))
     argmax_p = p_grid[int(np.argmax(values))]
@@ -169,7 +176,7 @@ def scan_p_argmax(n: int, p_grid=None) -> GridReport:
         grid=p_grid,
         values=values,
         violations=violations,
-        max_residual=worst_margin,
+        max_residual=_worst(margins, -math.inf),
         tolerance=0.0,
         extras={"argmax_p": argmax_p, "phi_at_2": phi2, "dim": n},
     )
@@ -241,7 +248,7 @@ def monotonicity_report() -> GridReport:
         values=margins,
         violations=violations,
         # closest approach to a violation
-        max_residual=max(margins, default=-math.inf),
+        max_residual=_worst(margins, -math.inf),
         tolerance=-TIE_EPS,
     )
 
@@ -330,6 +337,6 @@ def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
         grid=[("x", len(xs)), ("y", len(_FD_Y_GRID))],
         values=residuals,
         violations=violations,
-        max_residual=max(residuals, default=0.0),
+        max_residual=_worst(residuals, 0.0),
         tolerance=tolerance,
     )

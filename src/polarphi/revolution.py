@@ -139,14 +139,16 @@ def _validate_grid(pairs) -> np.ndarray:
         )
     # evenness: piecewise-linear r(t) and r(-t) agree iff they agree on the
     # union of reflected knot positions
-    for u in np.abs(t):
-        left = float(np.interp(-u, t, r))
-        right = float(np.interp(u, t, r))
-        if abs(left - right) > 1e-12:
-            raise DomainError(
-                f"profile must be even: r({-u}) = {left!r} != r({u}) = {right!r} "
-                "(non-even input is rejected, not symmetrized)"
-            )
+    u = np.abs(t)
+    left = np.interp(-u, t, r)
+    right = np.interp(u, t, r)
+    odd = np.flatnonzero(np.abs(left - right) > 1e-12)
+    if odd.size:
+        i = odd[0]
+        raise DomainError(
+            f"profile must be even: r({-u[i]}) = {float(left[i])!r} != "
+            f"r({u[i]}) = {float(right[i])!r} (non-even input is rejected, not symmetrized)"
+        )
     # concavity: chord slopes nonincreasing (second differences <= 1e-12)
     slopes = np.diff(r) / np.diff(t)
     if np.any(np.diff(slopes) > 1e-12):

@@ -70,7 +70,7 @@ def test_criterion_3_cross_path_oracle(slice_volume):
     exponents = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
     worst_phi = 0.0
     for n in range(2, 21):
-        for p in exponents:
+        for p in sorted(set(exponents) | set(default_p_grid())):
             a = pp.phi_pball(n, p).phi
             b = pp.phi_via_moments(n, p).phi
             worst_phi = max(worst_phi, abs(a - b) / a)
@@ -222,7 +222,6 @@ def test_criterion_8_inequality_reports():
     ok = True
     worst_santalo = -math.inf
     worst_chain = -math.inf
-    worst_ident = 0.0
     for n in dims:
         ball = pp.phi_pball(n, 2.0)
         ball_product = ball.volume * ball.polar_volume
@@ -231,14 +230,12 @@ def test_criterion_8_inequality_reports():
             phi = rep.phi
             worst_santalo = max(worst_santalo, (rep.santalo_product - ball_product) / ball_product)
             worst_chain = max(worst_chain, (rep.lower_bound - phi) / phi)
-            worst_ident = max(worst_ident, rep.identity_residual / phi)
-    ok &= worst_santalo <= 1e-10 and worst_chain <= 1e-10 and worst_ident <= 1e-10
+    ok &= worst_santalo <= 1e-10 and worst_chain <= 1e-10
     _report(
         8,
         ok,
         f"volume product vs ball on {len(dims)}x{len(grid)} grid, worst rel slack "
-        f"{worst_santalo:.2e}; chain worst {worst_chain:.2e}; identity residual "
-        f"{worst_ident:.2e} (caps 1e-10)",
+        f"{worst_santalo:.2e}; chain worst {worst_chain:.2e} (caps 1e-10)",
     )
 
 

@@ -6,10 +6,11 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from polarphi import cli
+from polarphi import cli, harness
 
 PY = [sys.executable, "-m", "polarphi.cli"]
 
@@ -160,6 +161,36 @@ def test_verify_harness():
     assert [r["points"] for r in rows] == [10_279, 514] + [66] * 5
 
 
+def test_non_finite_numbers_print_as_null(monkeypatch, capsys):
+    # the first check of the first sweep is NaN: its report fails, and every
+    # row still prints
+    real_f1 = harness.f1_eval
+    calls = []
+
+    def f1_eval(*args):
+        calls.append(args)
+        return math.nan if len(calls) == 1 else real_f1(*args)
+
+    monkeypatch.setattr(harness, "f1_eval", f1_eval)
+    assert cli.main(["verify", "harness"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 7
+    assert rows[0]["status"] == "fail" and rows[0]["max_residual"] is None
+    assert all(r["status"] == "pass" for r in rows[1:])
+
+    real_phi = harness.phi_pball
+    monkeypatch.setattr(
+        harness, "phi_pball",
+        lambda n, p: replace(real_phi(n, p), phi=math.nan) if p == 3.0 else real_phi(n, p),
+    )
+    assert cli.main(["scan", "--dim", "3", "--grid", "1,2,3,inf"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["phi"], r["margin"]) for r in rows if r["p"] == 3.0] == [(None, None)]
+    assert cli.main(["--format", "csv", "scan", "--dim", "3", "--grid", "1,2,3,inf"]) == 1
+    out = capsys.readouterr().out
+    assert next(r for r in csv.DictReader(io.StringIO(out)) if r["p"] == "3")["phi"] == "nan"
+
+
 def test_verify_theorem_evaluates_each_pair_once(monkeypatch, capsys):
     # reference: every row recomputes phi(B_p^n), as without a memo
     exact = cli.phi_pball
@@ -213,7 +244,7 @@ def test_verify_tolerances_must_be_finite(capsys):
         ["harness", "--tol-fd", "nan"],
         ["inequalities", "--tol-santalo", "nan"],
         ["inequalities", "--tol-chain", "nan"],
-        ["inequalities", "--tol-identity", "inf"],
+        ["inequalities", "--tol-chain=-inf"],
         ["inequalities", "--tol-chain", "tight"],
     ):
         with pytest.raises(SystemExit) as exc:
@@ -238,7 +269,13 @@ def test_verify_inequalities_is_the_one_judge(capsys):
     assert sorted(r["dim"] for r in rows if r["status"] == "fail") == list(cli._VERIFY_DIMS)
     assert all(r["p"] == 2.0 for r in rows if r["status"] == "fail")
     assert run("--tol-chain=-1")[0] == 1
-    assert run("--tol-identity=-1")[0] == 1
+    # the isotropy identity is judged once, by `verify theorem`
+    assert "identity_rel_residual" not in run()[1][0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "inequalities", "--tol-identity", "1e-10"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("error: invalid-input:") and len(err.strip().splitlines()) == 1
 
 
 def test_deeply_nested_body_is_invalid_input():

@@ -17,6 +17,7 @@ the closed forms against mpmath and the slice recursion for the volume.
 
 import json
 import math
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -29,6 +30,7 @@ from polarphi.errors import DomainError
 from polarphi.exact import (
     F_FACTOR_Y2_MAX,
     PHI_INTERVAL,
+    PHI_PBALL_DIM_MAX,
     dual_exponent,
     f_factor,
     inequality_report,
@@ -290,12 +292,11 @@ def test_breakdown_internal_consistency():
 def test_inequality_report_fields_and_checks():
     # the report only computes; `verify inequalities` judges (tests/test_cli.py)
     rep = inequality_report(3, 1.5)
+    assert [f.name for f in fields(rep)] == ["dim", "p", "phi", "santalo_product", "lower_bound"]
     assert rep.dim == 3 and rep.p == 1.5
-    assert rep.L_sq > 0 and rep.L_polar_sq > 0
     b2 = phi_pball(3, 2.0)
     assert rep.santalo_product <= b2.volume * b2.polar_volume + 1e-10
     assert rep.lower_bound <= phi_pball(3, 1.5).phi + 1e-10
-    assert rep.identity_residual <= 1e-10 * phi_pball(3, 1.5).phi
 
 
 def _f_factor_mpmath(y1, y2, p):
@@ -322,6 +323,33 @@ def test_f_factor_agrees_with_mpmath_up_to_its_y2_bound():
         for p in (1.0, 1.5, math.inf):
             with pytest.raises(DomainError):
                 f_factor(1.0, big, p)
+
+
+def _phi_pball_mpmath(n, p):
+    """phi(B_p^n) = n R(n, p) R(n, q) at 50 digits, R(n, p) = E x_1^2 over B_p^n."""
+    def r(p):
+        if math.isinf(p):
+            return mpmath.mpf(1) / 3
+        p = mpmath.mpf(p)
+        a = (n - 1) / p + 1
+        return mpmath.beta(3 / p, a) / mpmath.beta(1 / p, a)
+
+    with mpmath.workdps(50):
+        pair = dual_exponent(p)
+        return n * r(pair.p) * r(pair.q)
+
+
+def test_phi_pball_agrees_with_mpmath_up_to_its_dim_bound():
+    n = PHI_PBALL_DIM_MAX
+    for p in (1.0, 1.000001, 1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, 1e6, math.inf):
+        ref = _phi_pball_mpmath(n, p)
+        assert float(abs(phi_pball(n, p).phi - ref) / ref) <= 1e-10, p
+    # above the bound the recursion's rounding keeps growing
+    for p in (1.0, 1.25, 2.0, math.inf):
+        with pytest.raises(DomainError):
+            phi_pball(n + 1, p)
+        with pytest.raises(DomainError):
+            inequality_report(n + 1, p)
 
 
 def test_domain_errors():

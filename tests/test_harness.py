@@ -175,6 +175,7 @@ def test_scan_counts_a_nan_phi_as_a_violation(monkeypatch):
     rep = scan_p_argmax(3, [1.0, 2.0, 3.0, math.inf])
     assert not rep.passed
     assert [p for p, _ in rep.violations] == [3.0]
+    assert math.isnan(rep.max_residual)
 
 
 def test_monotonicity_counts_a_late_nan_as_a_violation(monkeypatch):
@@ -183,6 +184,7 @@ def test_monotonicity_counts_a_late_nan_as_a_violation(monkeypatch):
     rep = monotonicity_report()
     assert not rep.passed
     assert len(_nan_violations(rep)) == len(rep.violations) == 2  # both neighbouring steps
+    assert math.isnan(rep.max_residual)
 
 
 def test_finite_differences_count_a_nan_as_a_violation(monkeypatch):
@@ -190,6 +192,7 @@ def test_finite_differences_count_a_nan_as_a_violation(monkeypatch):
     rep = finite_difference_report()
     assert not rep.passed
     assert rep.violations and len(_nan_violations(rep)) == len(rep.violations)
+    assert math.isnan(rep.max_residual)
 
 
 def test_eval_domain_errors():
