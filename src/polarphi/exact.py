@@ -193,11 +193,18 @@ def _log_volume(n: int, p: float) -> float:
     return n * math.log(2.0) + n * log_gamma(1.0 + 1.0 / p) - log_gamma(1.0 + n / p)
 
 
+def _exp_volume(log_value: float) -> float:
+    """e^log_value, a DomainError past the largest double (2^n from n = 1,025)."""
+    if log_value > 709.782712893384:  # ln(sys.float_info.max)
+        raise DomainError(f"e^{log_value:.6g} exceeds the largest double")
+    return math.exp(log_value)
+
+
 def pball_volume(n: int, p) -> float:
     """|B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p); 2^n for p = inf."""
     n = _check_dim(n)
     p = _check_p(p)
-    return math.exp(_log_volume(n, p))
+    return _exp_volume(_log_volume(n, p))
 
 
 def _log_r(n: int, p: float) -> float:
@@ -215,7 +222,7 @@ def pball_moment2(n: int, p) -> float:
     """
     n = _check_dim(n)
     p = _check_p(p)
-    return math.exp(_log_volume(n, p) + _log_r(n, p))
+    return _exp_volume(_log_volume(n, p) + _log_r(n, p))
 
 
 def _breakdown(n: int, pair: ExponentPair, phi: float) -> PhiBreakdown:
@@ -224,9 +231,9 @@ def _breakdown(n: int, pair: ExponentPair, phi: float) -> PhiBreakdown:
     lw = _log_volume(n, pair.q)
     return PhiBreakdown(
         dim=n,
-        volume=math.exp(lv),
-        polar_volume=math.exp(lw),
-        cross_integral=phi * math.exp(lv + lw),
+        volume=_exp_volume(lv),
+        polar_volume=_exp_volume(lw),
+        cross_integral=phi * math.exp(lv + lw),  # |K| |K°| <= |B_2^n|^2 (Santalo)
         phi=phi,
     )
 

@@ -170,7 +170,8 @@ def scan_p_argmax(n: int, p_grid=None) -> GridReport:
         margins.append(margin)
         if not margin < 0.0:
             violations.append((p, v))
-    argmax_p = p_grid[int(np.argmax(values))]
+    kept = [i for i, v in enumerate(values) if not math.isnan(v)]  # np.argmax picks a NaN
+    argmax_p = p_grid[max(kept, key=values.__getitem__)] if kept else math.nan
     return GridReport(
         description=f"phi(B_p^{n}) argmax scan over {len(p_grid)} exponents",
         grid=p_grid,

@@ -52,7 +52,7 @@ a node at slot s in dimension n:
 
     p-ball              s .. s+n-1   coordinates: GS round k reads counters
                                      (2k, 2k + 1); p = 1 and p = inf read
-                                     counter 0
+                                     counter 0, p = 2 counters 0 and 1
                         s+n          signs (counter = coordinate)
                         s+n+1        unused
     interval            s            the sign; s+1 and s+2 unused
@@ -67,14 +67,15 @@ a node at slot s in dimension n:
                         s+2 ..       Box-Muller pairs, two slots per pair;
                                      every grid slot reads counter 0
 
-The GS kernel is vectorized over samples: each coordinate runs its rounds
-on the lanes (one sample's draw for that coordinate) still rejecting,
-compacting the accepted ones out after every round.  Once few lanes remain,
-they run several rounds at once and keep their first accepted one, so the
-tail of a coordinate costs a few array calls, not one round each.  Each
-branch of a round is evaluated only on the candidates it applies to.  A
-lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
-other lanes do.
+Gamma(1/p) is -ln U at p = 1 and -ln(U0) cos^2(2 pi U1) at p = 2 (Exp(1)
+times Beta(1/2, 1/2), as in Box-Muller), with no rejection.  At other p the
+GS kernel is vectorized over samples: each coordinate runs its rounds on the
+lanes (one sample's draw for that coordinate) still rejecting, moving the
+accepted ones into one contiguous column after every round.  Once few lanes
+remain, they run several rounds at once and keep their first accepted one,
+so a coordinate's tail costs a few array calls.  Each branch of a round is
+evaluated only on the candidates it applies to.  A lane's round k reads
+counters (2k, 2k + 1) of its own slot whatever the other lanes do.
 """
 
 import bisect
@@ -99,7 +100,6 @@ from .bodies import (
 from .errors import DomainError
 from .rng import sample_bases_v, u01_v
 
-_E = math.e
 _TINY = np.finfo(np.float64).tiny
 
 
@@ -129,22 +129,25 @@ def _rounds(lanes):
 def _gamma_gs(bases, p, slot, k):
     """(g, |g|^(1/p)) as (m, k) arrays: Gamma(1/p) draws on slots slot..slot+k-1.
 
-    p = 1 is one exponential per coordinate; otherwise Ahrens-Dieter GS
-    with lane compaction, returning the exact magnitude from each branch.
-    Lanes still rejecting run _rounds(lanes) rounds at once and keep their
-    first accepted round r, read at counters (2r, 2r + 1).
+    p = 1 is an exponential, p = 2 -ln(U0) cos^2(2 pi U1); otherwise
+    Ahrens-Dieter GS with lane compaction, returning the exact magnitude from
+    each branch.  Lanes still rejecting run _rounds(lanes) rounds at once and
+    keep their first accepted round r, read at counters (2r, 2r + 1).
     """
     m = bases.shape[0]
     gs = np.empty((m, k))
     mags = np.empty((m, k))
+    gcol, mcol = np.empty(m), np.empty(m)  # one coordinate's accepted draws
     a = 1.0 / p
-    b = 1.0 + a / _E
+    b = 1.0 + a / math.e
     for j in range(k):
         sj = slot + j
-        if p == 1.0:
+        if p in (1.0, 2.0):  # no rejection
             g = -np.log(u01_v(bases, sj, 0))
+            if p == 2.0:
+                g *= np.cos(2.0 * np.pi * u01_v(bases, sj, 1)) ** 2
             gs[:, j] = g
-            mags[:, j] = g
+            mags[:, j] = g if p == 1.0 else np.sqrt(g)
             continue
         act = np.arange(m)  # rows still rejecting in this coordinate
         r = 0
@@ -156,8 +159,8 @@ def _gamma_gs(bases, p, slot, k):
             if rounds > 1:
                 lanes = np.repeat(act, rounds)
                 ks = np.tile(np.arange(2 * r, 2 * (r + rounds), 2, dtype=np.uint64), act.size)
+            lane_bases = bases if r == 0 and rounds == 1 else bases[lanes]
             r += rounds
-            lane_bases = bases[lanes]
             q = b * u01_v(lane_bases, sj, ks)
             u2 = u01_v(lane_bases, sj, ks + 1)
             small = np.nonzero(q <= 1.0)[0]
@@ -172,17 +175,19 @@ def _gamma_gs(bases, p, slot, k):
             acc = np.empty(q.size, dtype=bool)
             acc[small] = ok_small
             acc[big] = ok_big
-            acc = acc.reshape(act.size, rounds)
             if rounds > 1:  # a lane keeps only its first accepted round
-                acc &= np.cumsum(acc, axis=1) == 1
-                ok_small, ok_big = acc.ravel()[small], acc.ravel()[big]
+                per_lane = acc.reshape(act.size, rounds)  # a view of acc
+                per_lane &= np.cumsum(per_lane, axis=1) == 1
+                ok_small, ok_big = acc[small], acc[big]
+                acc = per_lane.any(axis=1)
             rows = lanes[small[ok_small]]
-            gs[rows, j] = g_small[ok_small]
-            mags[rows, j] = q[small[ok_small]]
+            gcol[rows] = g_small[ok_small]
+            mcol[rows] = q[small[ok_small]]
             rows = lanes[big[ok_big]]
-            gs[rows, j] = g_big[ok_big]
-            mags[rows, j] = np.exp(a * log_g[ok_big])
-            act = act[~acc.any(axis=1)]
+            gcol[rows] = g_big[ok_big]
+            mcol[rows] = np.exp(a * log_g[ok_big])
+            act = act[~acc]
+        gs[:, j], mags[:, j] = gcol, mcol
     return gs, mags
 
 
@@ -236,9 +241,9 @@ def _lp_rows(body, bases, slot):
 
     Factor i's part is G_i^{1/p} u_i, and the point is the parts over their
     l_p norm (sum G)^{1/p}; at p = inf the part is V_i^{1/n_i} u_i, over the
-    largest radius.  G_i^{1/p} is the l_p norm of the factor's GS magnitudes,
-    which never underflows, so where sum G underflows at huge p the l_p norm
-    of the G_i^{1/p} takes the place of (sum G)^{1/p}.
+    largest radius.  G_i^{1/p} and (sum G)^{1/p} are p-th roots of the Gamma
+    sums; where a sum underflows at huge p, the l_p norm of the magnitudes
+    behind it, which never underflow, takes its place.
     """
     p = float(body.p)
     m = bases.shape[0]
@@ -259,7 +264,7 @@ def _lp_rows(body, bases, slot):
             gs, part = _gamma_gs(bases, p, start, k)
             total += gs.sum(axis=1)
             for j in range(k):
-                part[:, j] *= np.where(u01_v(bases, start + k, j) < 0.5, -1.0, 1.0)
+                np.copysign(part[:, j], u01_v(bases, start + k, j) - 0.5, out=part[:, j])
             norms.append(part)
         elif inf:
             rad = u01_v(bases, share, 0) ** (1.0 / k)
@@ -267,8 +272,13 @@ def _lp_rows(body, bases, slot):
             np.maximum(total, rad, out=total)
         else:
             gs, mags = _gamma_gs(bases, p, share, k)
-            total += gs.sum(axis=1)
-            norms.append(_pnorm_rows(mags, p)[:, None])
+            s = gs.sum(axis=1)
+            total += s
+            low = s < _TINY
+            s **= 1.0 / p
+            if low.any():
+                s[low] = _pnorm_rows(mags[low], p)
+            norms.append(s[:, None])
             del gs, mags  # free them before the factor's own draws
             part = _draw(factor, bases, start) * norms[-1]
         parts.append(part)

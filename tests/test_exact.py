@@ -17,6 +17,7 @@ the closed forms against mpmath and the slice recursion for the volume.
 
 import json
 import math
+import sys
 from dataclasses import fields
 
 import mpmath
@@ -114,6 +115,19 @@ def test_volumes_small():
     assert abs(pball_volume(2, 2.0) - math.pi) <= 1e-13 * math.pi
     assert abs(pball_volume(2, 1.0) - 2.0) <= 1e-13 * 2.0
     assert abs(pball_volume(1, 7.0) - 2.0) <= 1e-13 * 2.0
+
+
+def test_volume_past_the_double_range_is_a_domain_error():
+    # |B_inf^n| = |(B_1^n)°| = 2^n: at n = 1,024 about the largest double, at
+    # 1,025 past it; an OverflowError from math.exp is not a DomainError
+    top = sys.float_info.max
+    assert pball_volume(1024, math.inf) == pytest.approx(top, rel=1e-13)
+    assert phi_via_moments(1024, 1.0).polar_volume == pytest.approx(top, rel=1e-13)
+    assert phi_via_moments(1024, math.inf).volume == pytest.approx(top, rel=1e-13)
+    for call, n, p in ((pball_volume, 1025, math.inf), (phi_via_moments, 1025, 1.0),
+                       (phi_via_moments, 1025, math.inf), (pball_moment2, 1026, math.inf)):
+        with pytest.raises(DomainError):
+            call(n, p)
 
 
 def test_volume_recursion_vs_closed_form(slice_volume):

@@ -178,6 +178,23 @@ def test_scan_counts_a_nan_phi_as_a_violation(monkeypatch):
     assert math.isnan(rep.max_residual)
 
 
+def test_scan_argmax_skips_nan_values(monkeypatch):
+    # np.argmax returns the first NaN's index: with phi NaN at p = 3 the scan
+    # named p = 3 as the argmax.  The argmax is taken over the numbers, and
+    # is NaN when there are none
+    real = harness.phi_pball
+    nan_at = {3.0}
+    monkeypatch.setattr(
+        harness, "phi_pball",
+        lambda n, p: replace(real(n, p), phi=math.nan) if p in nan_at else real(n, p),
+    )
+    grid = [1.0, 2.0, 3.0, math.inf]
+    assert scan_p_argmax(3, grid).extras["argmax_p"] == 2.0
+    nan_at.update(grid)
+    rep = scan_p_argmax(3, grid)
+    assert math.isnan(rep.extras["argmax_p"]) and not rep.passed
+
+
 def test_monotonicity_counts_a_late_nan_as_a_violation(monkeypatch):
     # one F value deep in the sweep, long after the first check
     _nan_at(monkeypatch, "F_eval", (float(harness._X_GRID[-1]), float(harness._Y_GRID[16])))

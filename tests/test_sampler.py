@@ -88,7 +88,8 @@ def _u01(base, slot, k):
 
 
 def _fill_pball_reference(out, seed, indices, p):
-    # u_j = e_j |g_j|^(1/p) / (sum g)^(1/p) with g_j ~ Gamma(1/p) by GS, or
+    # u_j = e_j |g_j|^(1/p) / (sum g)^(1/p) with g_j ~ Gamma(1/p) by GS (at
+    # p = 1 an exponential, at p = 2 -ln U cos^2(2 pi U') at counters 0, 1), or
     # w_j / max |w| with w_j = 2U - 1 at p = inf; then x = u V^(1/n), V the
     # uniform at the first slot past the ball's n + 2
     m, n = out.shape
@@ -109,6 +110,11 @@ def _fill_pball_reference(out, seed, indices, p):
             if p == 1.0:
                 g = -np.log(_u01(base, np.uint64(j), np.uint64(0)))
                 mag = g
+            elif p == 2.0:
+                # Exp(1) times Beta(1/2, 1/2) is Gamma(1/2), with no rejection
+                g = -np.log(_u01(base, np.uint64(j), np.uint64(0)))
+                g *= np.cos(2.0 * np.pi * _u01(base, np.uint64(j), np.uint64(1))) ** 2
+                mag = np.sqrt(g)
             else:
                 k = np.uint64(0)
                 while True:
@@ -366,10 +372,12 @@ def test_every_rule_is_deterministic_per_index():
 
 def test_every_rule_draws_on_the_boundary():
     # g(u) = 1 within 1e-12 for every rule on both sides, the p-ball from
-    # p = 1 to a p where the Gamma sum underflows, the interval and a
-    # cond-1e12 diagonal ellipse
+    # p = 1 to a p where the Gamma sum underflows, a x_p node where a
+    # factor's Gamma sum underflows, the interval and a cond-1e12 diagonal
+    # ellipse
     bodies = [*RULE_BODIES, Interval(), make_linear_image(np.diag([1e6, 1e-6]), PBall(2, 2.0)),
-              *(PBall(3, p) for p in (1.0, 1.5, 1e6, math.inf))]
+              *(PBall(3, p) for p in (1.0, 1.5, 1e6, math.inf)),
+              Product(1e6, Simplex(2), PBall(2, 3.0))]
     bases = sample_bases_v(271, np.arange(5000, dtype=np.uint64))
     for body in bodies:
         for side in (PRIMAL, POLAR):
@@ -382,14 +390,16 @@ def test_every_rule_draws_on_the_boundary():
 
 def test_no_sampler_rejects(monkeypatch):
     # every rule is exact: no draw tests membership, and a grid revolution
-    # draw runs no rejection rounds either
+    # draw runs no rejection rounds either, nor does a Gamma(1/2) draw (the
+    # ball's coordinates, a x_2 node's shares) or a Gamma(1) one
     def forbidden(*args):
         raise AssertionError("a sampler called a rejection helper")
 
     monkeypatch.setattr(sampler, "membership_batch", forbidden)
-    for body in RULE_BODIES:
+    no_gs = [PBall(4, 2.0), Product(2.0, PBall(2, 1.0), Simplex(2))]
+    for body in RULE_BODIES + no_gs:
         with monkeypatch.context() as grid:
-            if isinstance(body, Revolution) and body.profile.kind == "grid":
+            if body in no_gs or isinstance(body, Revolution) and body.profile.kind == "grid":
                 grid.setattr(sampler, "_rounds", forbidden)
             for side in (PRIMAL, POLAR):
                 assert sample_body(body, side, 500, 8).shape == (500, body.dim), (body, side)
@@ -441,6 +451,10 @@ def test_cone_measure_moments_match_exact_values(cone_moment, boundary_var):
         s2 = np.mean(dev**2)
         sd = math.sqrt((np.mean(dev**4) - s2**2) / count)
         assert abs(s2 - boundary_var(n, p)) <= 4.0 * sd, (n, p, s2, boundary_var(n, p))
+    # the Euclidean ball: |u| = 1, so Var |u|^2 = 0 and no ratio applies
+    # (its E u u^T = I/n is checked below)
+    u = _dispatch_sample(PBall(4, 2.0), 12, idx)
+    assert np.abs(np.linalg.norm(u, axis=1) - 1.0).max() <= 1e-12
     # the other rules against exact E u u^T.  Simplex: I/n^2 (its n + 1 unit
     # vertices are a tight frame).  A x_p node of A and B: its blocks are
     # E W^{2/p} E u_A u_A^T and E (1-W)^{2/p} E u_B u_B^T with W ~ Beta(n_A/p,
@@ -453,10 +467,12 @@ def test_cone_measure_moments_match_exact_values(cone_moment, boundary_var):
         return math.exp(lbeta((na + 2) / p, nb / p) - lbeta(na / p, nb / p))
 
     tri = np.array([[1.0, 0.5, -2.0], [0.0, 2.0, 1.0], [0.0, 0.0, 0.5]])
-    exact = [(Simplex(n), np.eye(n) / n**2) for n in (2, 3, 5)]
+    exact = [(Simplex(n), np.eye(n) / n**2) for n in (2, 3, 5)] + [(PBall(4, 2.0), np.eye(4) / 4)]
     exact += [
         (Product(1.5, PBall(2, 3.0), Simplex(2)),
          np.diag([share(2, 2, 1.5) * cone_moment(2, 3.0, (2,))] * 2 + [share(2, 2, 1.5) / 4] * 2)),
+        (Product(2.0, PBall(2, 1.0), Simplex(2)),
+         np.diag([share(2, 2, 2.0) * cone_moment(2, 1.0, (2,))] * 2 + [share(2, 2, 2.0) / 4] * 2)),
         (parse_body({"type": "revolution", "dim": 4, "profile": "pball:3"}),
          np.diag([share(1, 3, 3.0)] + [share(3, 1, 3.0) / 3] * 3)),
         (make_linear_image(tri, Simplex(3)), tri @ tri.T / 9),
