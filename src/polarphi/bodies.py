@@ -251,9 +251,7 @@ def _parse_obj(obj, depth=1) -> object:
         return make_linear_image(obj["matrix"], _parse_obj(obj["inner"], depth + 1))
     if btype == "simplex":
         _require_keys(obj, {"type", "dim"})
-        dim = _parse_dim(obj)
-        _simplex_vertices(dim)  # construct (and sanity-check) eagerly
-        return Simplex(dim=dim)
+        return Simplex(dim=_parse_dim(obj))
     if btype == "interval":
         _require_keys(obj, {"type"}, {"dim"})
         if "dim" in obj and obj["dim"] != 1:

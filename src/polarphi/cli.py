@@ -13,6 +13,9 @@ Reports go to stdout as JSON (default) or CSV (--format csv); both encodings
 carry identical numeric values (JSON prints each float's shortest
 round-tripping repr, CSV 17 significant digits; both round-trip float64
 exactly; JSON prints a non-finite float as null).  Diagnostics go to stderr.
+phi exact prints a volume only while it is a normal double (else nan, null in
+JSON), and always its log.  phi exact, scan and revolution take n <= 1000,
+judged by their routes; phi mc takes n <= 200.
 
 Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input.
 Errors print a single machine-parsable line `error: <reason>: <detail>` on
@@ -69,8 +72,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
-DIM_CAP_EXACT = 200
-
 _VERIFY_DIMS = (2, 3, 5, 10, 20)
 _VERIFY_DIM_PAIRS = ((1, 1), (1, 2), (2, 3), (3, 5), (5, 10))
 _VERIFY_PS_ALL = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
@@ -112,12 +113,13 @@ def _p_field(p: float):
     return "inf" if math.isinf(p) else float(p)
 
 
-def _check_cap(dim: int, cap: int, what: str) -> int:
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    if dim > cap:
-        raise DomainError(f"{what} supports dim <= {cap}, got {dim}")
-    return dim
+def _double(log_value: float, factor: float = 1.0) -> float:
+    """factor e^log_value while that is a normal double, else nan (null in JSON)."""
+    try:
+        v = factor * math.exp(log_value)
+    except OverflowError:
+        return math.nan
+    return v if sys.float_info.min <= v <= sys.float_info.max else math.nan
 
 
 def _fmt(v) -> str:
@@ -154,20 +156,20 @@ def _emit(records, fmt, stream=None) -> None:
 
 
 def _cmd_phi_exact(args):
-    dim = _check_cap(args.dim, DIM_CAP_EXACT, "exact evaluation")
     p = _p_value(args.p)
-    if args.method == "moments":
-        result = phi_via_moments(dim, p)
-    else:
-        result = phi_pball(dim, p)
+    route = phi_via_moments if args.method == "moments" else phi_pball
+    result = route(args.dim, p)
+    lv, lw = result.log_volume, result.log_polar_volume
     rec = {
-        "dim": dim,
+        "dim": args.dim,
         "p": _p_field(p),
         "method": args.method,
         "phi": result.phi,
-        "volume": result.volume,
-        "polar_volume": result.polar_volume,
-        "cross_integral": result.cross_integral,
+        "volume": _double(lv),
+        "polar_volume": _double(lw),
+        "cross_integral": _double(lv + lw, result.phi),
+        "log_volume": lv,
+        "log_polar_volume": lw,
     }
     return [rec], True
 
@@ -183,7 +185,8 @@ def _cmd_phi_mc(args):
         except OSError as exc:
             raise DomainError(f"cannot read body file {args.body!r}: {exc}")
     body = parse_body(text)
-    _check_cap(body.dim, DIM_CAP_EXACT, "Monte Carlo")
+    if body.dim > 200:
+        raise DomainError(f"Monte Carlo supports dim <= 200, got {body.dim}")
     if args.samples < 2:
         raise DomainError(f"--samples must be >= 2, got {args.samples}")
     seed = parse_seed(args.seed)
@@ -215,21 +218,20 @@ def _parse_grid(text):
 
 def _cmd_scan(args):
     _load()
-    dim = _check_cap(args.dim, DIM_CAP_EXACT, "exact evaluation")
-    report = scan_p_argmax(dim, _parse_grid(args.grid) if args.grid else None)
+    report = scan_p_argmax(args.dim, _parse_grid(args.grid) if args.grid else None)
     phi2 = report.extras["phi_at_2"]
     records = []
     for p, v in zip(report.grid, report.values):
         records.append(
             {
-                "dim": dim,
+                "dim": args.dim,
                 "p": _p_field(p),
                 "phi": v,
                 "margin": v - phi2,
             }
         )
     print(
-        f"scan dim={dim}: argmax p={report.extras['argmax_p']:g} "
+        f"scan dim={args.dim}: argmax p={report.extras['argmax_p']:g} "
         f"phi(2)={phi2:.17g} worst margin={report.max_residual:.3e} "
         f"violations={len(report.violations)}",
         file=sys.stderr,
@@ -310,10 +312,10 @@ def _cmd_verify_inequalities(args):
     records = []
     ok = True
     for n in _VERIFY_DIMS:
-        ball_product = inequality_report(n, 2.0).santalo_product
+        ball_product = math.exp(inequality_report(n, 2.0).log_santalo_product)
         for p in _VERIFY_PS_ALL:
             rep = inequality_report(n, p)
-            santalo_slack = ball_product - rep.santalo_product
+            santalo_slack = ball_product - math.exp(rep.log_santalo_product)
             chain_slack = rep.phi - rep.lower_bound
             passed = santalo_slack >= -args.tol_santalo and chain_slack >= -args.tol_chain
             ok &= passed
@@ -332,9 +334,6 @@ def _cmd_verify_inequalities(args):
 
 def _cmd_revolution(args):
     _load()
-    dim = _check_cap(args.dim, DIM_CAP_EXACT, "revolution quadrature")
-    if dim < 2:
-        raise DomainError(f"revolution bodies need dim >= 2, got {dim}")
     spec = args.profile.strip()
     if spec.startswith("{"):
         try:
@@ -342,10 +341,10 @@ def _cmd_revolution(args):
         except (ValueError, RecursionError):
             raise DomainError(f"--profile is not a valid JSON grid: {args.profile!r}")
     profile = parse_profile(spec)
-    report = decomposition_report(profile, dim)
+    report = decomposition_report(profile, args.dim)
     prof_json = profile_to_json(profile)
     rec = {
-        "dim": dim,
+        "dim": args.dim,
         "profile": prof_json if isinstance(prof_json, str) else json.dumps(prof_json),
         "phi": report.phi,
         "first_summand": report.first_summand,
@@ -358,7 +357,7 @@ def _cmd_revolution(args):
     }
     if args.diagnostics:
         for key, value in report.extras.items():
-            print(f"revolution dim={dim}: {key} = {value}", file=sys.stderr)
+            print(f"revolution dim={args.dim}: {key} = {value}", file=sys.stderr)
     return [rec], True
 
 

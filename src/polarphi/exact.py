@@ -39,12 +39,12 @@ Two independent evaluation routes are implemented, both valid on all of
 
 The two phi values share only the log-gamma kernel, so their agreement
 (checked to 1e-10 relative in the test suite) is a meaningful
-cross-validation.  Both routes report the volumes of the one closed form
-|B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p).
+cross-validation.  Both routes report the logarithms of the volumes of the
+one closed form |B_p^n| = 2^n Gamma(1 + 1/p)^n / Gamma(1 + n/p).
 
-All Gamma ratios are evaluated in log space: the direct products overflow for
-dimensions beyond ~170, while log space is safe through the CLI's dimension
-cap of 200 (volumes merely become denormal-small, their logs stay modest).
+All Gamma ratios are evaluated in log space, and the records keep volumes as
+logs: |B_1^n| is subnormal from n = 197 and 2^n overflows from n = 1,025,
+while their logs stay modest.
 """
 
 import math
@@ -63,8 +63,8 @@ F_FACTOR_Y2_MAX = 1e4
 
 # phi_pball's domain bound on n.  Its recursion's rounding grows with n: the
 # worst relative error against 50-digit mpmath over p in {1 .. 1e6, inf} is
-# 1.8e-12 at n = 200 and 3.2e-11 at 1,000.  From n = 1,025 on, the record's
-# volume 2^n at p in {1, inf} overflows.
+# 1.8e-12 at n = 200 and 3.2e-11 at 1,000.  phi_via_moments takes the same
+# bound (3.1e-13 at 1,000), so both routes of `phi exact` answer alike.
 PHI_PBALL_DIM_MAX = 1000
 
 
@@ -75,11 +75,13 @@ def _check_p(p) -> float:
     return p
 
 
-def _check_dim(n) -> int:
+def _check_dim(n, cap=math.inf) -> int:
     if not isinstance(n, (int,)) or isinstance(n, bool):
         raise DomainError(f"dimension must be a positive integer, got {n!r}")
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    if n > cap:
+        raise DomainError(f"dimension must be <= {cap}, got {n}")
     return n
 
 
@@ -93,17 +95,15 @@ class ExponentPair:
 
 @dataclass(frozen=True)
 class PhiBreakdown:
-    """Exact evaluation record for one body.
+    """Exact evaluation record for one body: phi and ln |K|, ln |K°|.
 
-    cross_integral is I(K) = Int_K Int_K° <x,y>^2, so that
-    phi = cross_integral / (volume * polar_volume) holds by construction.
+    The pairing integral Int_K Int_K° <x,y>^2 is phi |K| |K°|.
     """
 
     dim: int
-    volume: float
-    polar_volume: float
-    cross_integral: float
     phi: float
+    log_volume: float
+    log_polar_volume: float
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,16 @@ class IsotropyReport:
     """The Blaschke-Santalo chain's numbers for one p-ball.
 
     phi is phi(B_p^n) by the f-factor recursion (phi_pball) and
-    santalo_product is |K| |K°|.  lower_bound is the 1-unconditional identity
-    phi = n |K|^{2/n} |K°|^{2/n} L_K^2 L_{K°}^2 with both isotropy constants
-    replaced by the euclidean ball's (the minimizer), so it chains below phi
-    and above the Santalo-normalized volume-product bound.
+    log_santalo_product is ln(|K| |K°|).  lower_bound is the 1-unconditional
+    identity phi = n |K|^{2/n} |K°|^{2/n} L_K^2 L_{K°}^2 with both isotropy
+    constants replaced by the euclidean ball's (the minimizer), so it chains
+    below phi and above the Santalo-normalized volume-product bound.
     """
 
     dim: int
     p: float
     phi: float
-    santalo_product: float
+    log_santalo_product: float
     lower_bound: float
 
 
@@ -226,16 +226,8 @@ def pball_moment2(n: int, p) -> float:
 
 
 def _breakdown(n: int, pair: ExponentPair, phi: float) -> PhiBreakdown:
-    """The record of phi(B_p^n): both closed-form volumes, I = phi |K| |K°|."""
-    lv = _log_volume(n, pair.p)
-    lw = _log_volume(n, pair.q)
-    return PhiBreakdown(
-        dim=n,
-        volume=_exp_volume(lv),
-        polar_volume=_exp_volume(lw),
-        cross_integral=phi * math.exp(lv + lw),  # |K| |K°| <= |B_2^n|^2 (Santalo)
-        phi=phi,
-    )
+    """The record of phi(B_p^n), with the logs of both closed-form volumes."""
+    return PhiBreakdown(n, phi, _log_volume(n, pair.p), _log_volume(n, pair.q))
 
 
 def phi_pball(n: int, p) -> PhiBreakdown:
@@ -251,9 +243,7 @@ def phi_pball(n: int, p) -> PhiBreakdown:
     bit-identical to running the recursion with f_factor at every step.
     Defined for n <= PHI_PBALL_DIM_MAX.
     """
-    n = _check_dim(n)
-    if n > PHI_PBALL_DIM_MAX:
-        raise DomainError(f"phi_pball supports dim <= {PHI_PBALL_DIM_MAX}, got {n}")
+    n = _check_dim(n, PHI_PBALL_DIM_MAX)
     pair = dual_exponent(p)
     f = _tabled_f(pair, range(1, n + 3))
     phi = PHI_INTERVAL
@@ -266,10 +256,10 @@ def phi_via_moments(n: int, p) -> PhiBreakdown:
     """phi(B_p^n) = n R(n, p) R(n, q) in closed form (route two).
 
     R(n, p) = E x_1^2 = B(3/p, (n-1)/p + 1) / B(1/p, (n-1)/p + 1), and
-    R(n, inf) = 1/3, so every exponent in [1, inf] is covered.  The volumes
-    and the pairing integral come from the same logs as in phi_pball.
+    R(n, inf) = 1/3, so every exponent in [1, inf] is covered.  The log
+    volumes are phi_pball's, and so is the bound n <= PHI_PBALL_DIM_MAX.
     """
-    n = _check_dim(n)
+    n = _check_dim(n, PHI_PBALL_DIM_MAX)
     pair = dual_exponent(p)
     return _breakdown(n, pair, n * math.exp(_log_r(n, pair.p) + _log_r(n, pair.q)))
 
@@ -293,7 +283,7 @@ def phi_combine(phiA: float, n: int, phiB: float, m: int, p) -> float:
 def inequality_report(n: int, p) -> IsotropyReport:
     """Volume-product and isotropy-chain quantities for B_p^n; nothing is judged.
 
-    The claims santalo_product <= |B_2^n|^2 (volume-product bound) and
+    The claims |K| |K°| <= |B_2^n|^2 (volume-product bound) and
     lower_bound <= phi (isotropy chain) are judged by
     `polarphi verify inequalities`, with its --tol-* flags.  The identity
     itself, phi = n R(n, p) R(n, q), is phi_via_moments, judged by
@@ -304,11 +294,10 @@ def inequality_report(n: int, p) -> IsotropyReport:
     lv = _log_volume(n, pair.p)
     lw = _log_volume(n, pair.q)
     lb2 = _log_volume(n, 2.0)
-    # all in log space: volumes are denormal-small long before n hits 200
     return IsotropyReport(
         dim=n,
         p=pair.p,
         phi=phi_pball(n, pair.p).phi,
-        santalo_product=math.exp(lv + lw),
+        log_santalo_product=lv + lw,
         lower_bound=n * math.exp(2.0 / n * (lv + lw) - 4.0 / n * lb2) / (n + 2.0) ** 2,
     )

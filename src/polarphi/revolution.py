@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exact import dual_exponent, pball_volume, phi_pball
+from .exact import PHI_PBALL_DIM_MAX, _log_volume, dual_exponent, phi_pball
 from .specfun import log_beta
 
 _NAMED_EXPONENT = {"ball": 2.0, "cone": 1.0, "cylinder": math.inf}
@@ -262,10 +262,13 @@ def profile_integrals(profile: RevolutionProfile, n: int):
     """(m0, m2, m+) = (Int r^{n-1}, Int t^2 r^{n-1}, Int r^{n+1}) over [-1, 1].
 
     Beta functions for named profiles; for grids, Gauss-Legendre on each
-    linear segment with enough nodes to be exact for degree n + 1.
+    linear segment with enough nodes to be exact for degree n + 1.  n stops
+    at phi_pball's bound, which phi_revolution meets at n - 1 for the slice.
     """
-    if n < 2:
-        raise DomainError(f"revolution bodies need dimension >= 2, got {n}")
+    if not 2 <= n <= PHI_PBALL_DIM_MAX:
+        raise DomainError(
+            f"revolution bodies need 2 <= dimension <= {PHI_PBALL_DIM_MAX}, got {n}"
+        )
     if profile.kind != "grid":
         P = profile.exponent
         if math.isinf(P):
@@ -308,8 +311,8 @@ def phi_revolution(profile: RevolutionProfile, n: int) -> RevolutionReport:
     second = (mp_1 * mp_2) / (m0_1 * m0_2) * phi_slice
     phi = first + second
 
-    vol_slice = pball_volume(n - 1, 2.0)
-    santalo_ratio = (vol_slice * m0_1) * (vol_slice * m0_2) / pball_volume(n, 2.0) ** 2
+    # |K| = |B_2^{n-1}| m0_1 and |K°| = |B_2^{n-1}| m0_2, over |B_2^n|^2 in logs
+    santalo_ratio = m0_1 * m0_2 * math.exp(2.0 * (_log_volume(n - 1, 2.0) - _log_volume(n, 2.0)))
     hensley = m2_1 / m0_1**3
 
     report = RevolutionReport(

@@ -224,11 +224,12 @@ def test_criterion_8_inequality_reports():
     worst_chain = -math.inf
     for n in dims:
         ball = pp.phi_pball(n, 2.0)
-        ball_product = ball.volume * ball.polar_volume
+        log_ball_product = ball.log_volume + ball.log_polar_volume
         for p in grid:
             rep = pp.inequality_report(n, p)
             phi = rep.phi
-            worst_santalo = max(worst_santalo, (rep.santalo_product - ball_product) / ball_product)
+            rel = math.expm1(rep.log_santalo_product - log_ball_product)
+            worst_santalo = max(worst_santalo, rel)
             worst_chain = max(worst_chain, (rep.lower_bound - phi) / phi)
     ok &= worst_santalo <= 1e-10 and worst_chain <= 1e-10
     _report(

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from polarphi import cli, harness
+from polarphi import bodies, cli, harness
 
 PY = [sys.executable, "-m", "polarphi.cli"]
 
@@ -36,7 +36,8 @@ def test_csv_json_numeric_equality():
     assert a.returncode == 0 and b.returncode == 0
     jrow = json.loads(a.stdout)[0]
     crow = next(csv.DictReader(io.StringIO(b.stdout)))
-    for key in ("phi", "volume", "polar_volume", "cross_integral", "p"):
+    for key in ("phi", "volume", "polar_volume", "cross_integral", "log_volume",
+                "log_polar_volume", "p"):
         assert float(crow[key]) == float(jrow[key]), key
 
 
@@ -64,13 +65,56 @@ def test_method_moments():
 
 
 def test_exit_codes_invalid_input():
-    assert run_cli("phi", "exact", "--dim", "201", "--p", "2").returncode == 2
+    assert run_cli("phi", "exact", "--dim", "1001", "--p", "2").returncode == 2
     assert run_cli("phi", "exact", "--dim", "3", "--p", "0.5").returncode == 2
     assert run_cli("phi", "exact", "--dim", "3", "--p", "nope").returncode == 2
     assert run_cli("nonsense").returncode == 2
     res = run_cli("phi", "exact", "--dim", "0", "--p", "2")
     assert res.returncode == 2
     assert len(res.stderr.strip().splitlines()) == 1  # one-line reason
+
+
+def test_phi_exact_volume_past_the_normal_range_is_null(capsys):
+    # |B_1^200| = 2^200 / 200! is subnormal: only its log prints as a number
+    assert cli.main(["phi", "exact", "--dim", "200", "--p", "1"]) == 0
+    row = json.loads(capsys.readouterr().out)[0]
+    assert row["volume"] is None
+    assert row["log_volume"] == pytest.approx(200 * math.log(2.0) - math.lgamma(201.0))
+    assert row["polar_volume"] == math.exp(row["log_polar_volume"])
+    assert row["polar_volume"] == pytest.approx(2.0**200, rel=1e-13)
+    assert row["cross_integral"] == row["phi"] * math.exp(row["log_volume"] + row["log_polar_volume"])
+    assert cli.main(["--format", "csv", "phi", "exact", "--dim", "200", "--p", "1"]) == 0
+    crow = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert crow["volume"] == "nan" and float(crow["log_volume"]) == row["log_volume"]
+
+
+def test_each_exact_route_judges_its_own_dimension(capsys):
+    # phi exact (both routes), scan and revolution stop where phi_pball does;
+    # the error names the command's own n (revolution runs phi_pball at n - 1)
+    routes = (
+        ["phi", "exact", "--p", "1.5"],
+        ["phi", "exact", "--p", "1.5", "--method", "moments"],
+        ["scan", "--grid", "1,2,inf"],
+        ["revolution", "--profile", "cone"],
+    )
+    for argv in routes:
+        assert cli.main([*argv, "--dim", "1000"]) == 0, argv
+        rows = json.loads(capsys.readouterr().out)
+        assert all(r["dim"] == 1000 and math.isfinite(r["phi"]) for r in rows), argv
+        assert cli.main([*argv, "--dim", "1001"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:") and err.endswith("got 1001\n"), argv
+
+
+def test_phi_mc_rejects_a_large_simplex_before_building_it(monkeypatch, capsys):
+    # the vertices are an (n+1) x (n+1) SVD: the cap must come first
+    def unbuilt(n):
+        raise AssertionError(f"simplex vertices built for dim {n}")
+
+    monkeypatch.setattr(bodies, "_simplex_vertices", unbuilt)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"type": "simplex", "dim": 4000}'))
+    assert cli.main(["phi", "mc", "--body", "-", "--samples", "100", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: invalid-input: Monte Carlo supports dim <= 200, got 4000\n"
 
 
 def test_phi_mc_stdin_and_seeds():

@@ -122,12 +122,15 @@ def test_volume_past_the_double_range_is_a_domain_error():
     # 1,025 past it; an OverflowError from math.exp is not a DomainError
     top = sys.float_info.max
     assert pball_volume(1024, math.inf) == pytest.approx(top, rel=1e-13)
-    assert phi_via_moments(1024, 1.0).polar_volume == pytest.approx(top, rel=1e-13)
-    assert phi_via_moments(1024, math.inf).volume == pytest.approx(top, rel=1e-13)
-    for call, n, p in ((pball_volume, 1025, math.inf), (phi_via_moments, 1025, 1.0),
-                       (phi_via_moments, 1025, math.inf), (pball_moment2, 1026, math.inf)):
+    for call, n, p in ((pball_volume, 1025, math.inf), (pball_moment2, 1026, math.inf)):
         with pytest.raises(DomainError):
             call(n, p)
+    # the records keep logs, finite up to the routes' own dimension bound
+    n = PHI_PBALL_DIM_MAX
+    for p in (1.0, math.inf):
+        bd = phi_via_moments(n, p)
+        assert math.isfinite(bd.log_volume) and math.isfinite(bd.log_polar_volume)
+        assert max(bd.log_volume, bd.log_polar_volume) == pytest.approx(n * math.log(2.0))
 
 
 def test_volume_recursion_vs_closed_form(slice_volume):
@@ -157,9 +160,10 @@ def test_moment2_formula_against_elementary_values_and_moment_route():
     # against the independent moment-recursion route
     for n, p in ((2, 1.5), (3, 3.0)):
         q = p / (p - 1.0)
-        ident = n * pball_moment2(n, p) * pball_moment2(n, q)
-        cross = phi_via_moments(n, p).cross_integral
-        assert abs(ident - cross) <= 1e-10 * cross, (n, p)
+        ident = math.log(n * pball_moment2(n, p) * pball_moment2(n, q))
+        bd = phi_via_moments(n, p)
+        cross = math.log(bd.phi) + bd.log_volume + bd.log_polar_volume
+        assert abs(ident - cross) <= 1e-10, (n, p)
 
 
 def test_moment_route_matches_recursion():
@@ -168,8 +172,9 @@ def test_moment_route_matches_recursion():
             a = phi_pball(n, p)
             b = phi_via_moments(n, p)
             assert abs(a.phi - b.phi) <= 1e-10 * a.phi, (n, p)
-            assert abs(a.volume - b.volume) <= 1e-11 * a.volume
-            assert abs(a.cross_integral - b.cross_integral) <= 1e-10 * a.cross_integral
+            assert abs(a.log_volume - b.log_volume) <= 1e-11
+            log_cross = [math.log(x.phi) + x.log_volume + x.log_polar_volume for x in (a, b)]
+            assert abs(log_cross[0] - log_cross[1]) <= 1e-10
 
 
 def test_moment_route_small_exact():
@@ -295,22 +300,19 @@ def test_euclidean_maximizes_over_p():
                 assert v < phi2, (n, p)
 
 
-def test_breakdown_internal_consistency():
-    for n, p in ((3, 1.5), (5, 3.0), (10, 8.0), (4, math.inf)):
-        bd = phi_pball(n, p)
-        assert bd.dim == n
-        recon = bd.cross_integral / (bd.volume * bd.polar_volume)
-        assert abs(recon - bd.phi) <= 1e-12 * bd.phi
-
-
 def test_inequality_report_fields_and_checks():
     # the report only computes; `verify inequalities` judges (tests/test_cli.py)
     rep = inequality_report(3, 1.5)
-    assert [f.name for f in fields(rep)] == ["dim", "p", "phi", "santalo_product", "lower_bound"]
+    assert [f.name for f in fields(rep)] == [
+        "dim", "p", "phi", "log_santalo_product", "lower_bound"]
     assert rep.dim == 3 and rep.p == 1.5
     b2 = phi_pball(3, 2.0)
-    assert rep.santalo_product <= b2.volume * b2.polar_volume + 1e-10
+    assert rep.log_santalo_product <= b2.log_volume + b2.log_polar_volume + 1e-10
     assert rep.lower_bound <= phi_pball(3, 1.5).phi + 1e-10
+    # in logs, the report has no volume to underflow at the largest dimension
+    top = inequality_report(PHI_PBALL_DIM_MAX, 1.0)
+    assert math.isfinite(top.log_santalo_product)
+    assert 0.0 < top.lower_bound <= top.phi
 
 
 def _f_factor_mpmath(y1, y2, p):
@@ -358,12 +360,29 @@ def test_phi_pball_agrees_with_mpmath_up_to_its_dim_bound():
     for p in (1.0, 1.000001, 1.01, 1.1, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, 1e6, math.inf):
         ref = _phi_pball_mpmath(n, p)
         assert float(abs(phi_pball(n, p).phi - ref) / ref) <= 1e-10, p
+        assert float(abs(phi_via_moments(n, p).phi - ref) / ref) <= 1e-10, p
     # above the bound the recursion's rounding keeps growing
     for p in (1.0, 1.25, 2.0, math.inf):
-        with pytest.raises(DomainError):
-            phi_pball(n + 1, p)
-        with pytest.raises(DomainError):
-            inequality_report(n + 1, p)
+        for route in (phi_pball, phi_via_moments, inequality_report):
+            with pytest.raises(DomainError, match=f"got {n + 1}"):
+                route(n + 1, p)
+
+
+def test_log_volume_against_mpmath():
+    # |B_1^200| is subnormal and 2^1000 is near the top of the double range;
+    # their logs are full-precision numbers
+    def ref(n, p):
+        with mpmath.workdps(50):
+            if math.isinf(p):
+                return n * mpmath.log(2)
+            p = mpmath.mpf(p)
+            return n * mpmath.log(2) + n * mpmath.loggamma(1 + 1 / p) - mpmath.loggamma(1 + n / p)
+
+    for n in (200, PHI_PBALL_DIM_MAX):
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            want = ref(n, p)
+            got = phi_pball(n, p).log_volume
+            assert float(abs(got - want) / abs(want)) <= 1e-15, (n, p)
 
 
 def test_domain_errors():

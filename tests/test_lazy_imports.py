@@ -23,6 +23,7 @@ from polarphi import cli
 CLOSED_FORM = (
     ["phi", "exact", "--dim", "3", "--p", "2"],
     ["phi", "exact", "--dim", "5", "--p", "1.5", "--method", "moments"],
+    ["phi", "exact", "--dim", "1000", "--p", "1"],
     ["f-eval", "--y1", "1", "--y2", "2", "--p", "3"],
     ["verify", "theorem"],
     ["verify", "inequalities"],

@@ -131,12 +131,14 @@ NAMED = (
 
 
 def test_pball_profile_matches_factor_route():
-    # every named profile is [-1, 1] x_P B_2^{n-1}
+    # every named profile is [-1, 1] x_P B_2^{n-1}; phi_revolution judges its
+    # volume-product ratio, formed in logs, so no volume underflows by n = 1000
     for name, P in NAMED:
-        for n in (2, 3, 5, 10, 50, 200):
+        for n in (2, 3, 5, 10, 50, 200, 300, 1000):
             rep = phi_revolution(parse_profile(name), n)
             oracle = phi_combine(phi_pball(n - 1, 2.0).phi, n - 1, PHI_INTERVAL, 1, P)
-            assert abs(rep.phi - oracle) <= 1e-12 * oracle, (name, n)
+            tol = 1e-12 if n <= 200 else 1e-11
+            assert abs(rep.phi - oracle) <= tol * oracle, (name, n)
 
 
 def test_report_invariants():
@@ -236,8 +238,12 @@ def test_profile_serialization():
 
 
 def test_dim_validation():
-    with pytest.raises(DomainError):
-        profile_integrals(parse_profile("ball"), 1)
+    # the bound is the revolution's own n, though phi_pball runs at n - 1
+    for n in (1, 1001):
+        with pytest.raises(DomainError, match=f"got {n}$"):
+            profile_integrals(parse_profile("ball"), n)
+        with pytest.raises(DomainError, match=f"got {n}$"):
+            phi_revolution(parse_profile("cone"), n)
 
 
 def _random_concave_profile(slopes):
