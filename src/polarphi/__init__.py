@@ -44,8 +44,7 @@ _EXPORTS = {
     "rng": ("parse_seed",),
     "sampler": ("MCEstimate", "estimate_phi", "sample_body", "sample_pball"),
     "specfun": (
-        "digamma", "log_beta", "log_gamma", "pentagamma", "polygamma", "tetragamma",
-        "trigamma",
+        "digamma", "log_beta", "log_gamma", "pentagamma", "tetragamma", "trigamma",
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -37,7 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .exact import dual_exponent
+from .exact import _check_dim, _check_p, _p_to_json, dual_exponent
 from .revolution import RevolutionProfile, parse_profile, polar_profile, profile_to_json
 
 PRIMAL = "primal"
@@ -57,20 +57,10 @@ def _check_side(side: str) -> str:
 
 
 def _parse_p(value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return math.inf
+    """The grammar's "p": a number or exactly the string "inf", then _check_p."""
+    if value != "inf" and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise DomainError(f"p must be a number or the string \"inf\", got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DomainError(f"p must be a number or the string \"inf\", got {value!r}")
-    p = float(value)
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"p must lie in [1, inf], got {p!r}")
-    return p
-
-
-def _p_to_json(p: float):
-    return "inf" if math.isinf(p) else p
+    return _check_p(value)
 
 
 @dataclass(frozen=True)
@@ -215,15 +205,6 @@ def _require_keys(obj: dict, required: set, optional: set = frozenset()):
         raise DomainError(f"body description has unknown keys {sorted(unknown)}")
 
 
-def _parse_dim(obj) -> int:
-    dim = obj.get("dim")
-    if isinstance(dim, bool) or not isinstance(dim, int):
-        raise DomainError(f"dim must be an integer, got {dim!r}")
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    return dim
-
-
 def _parse_obj(obj, depth=1) -> object:
     if depth > _MAX_DEPTH:
         raise DomainError(_TOO_DEEP)
@@ -232,7 +213,7 @@ def _parse_obj(obj, depth=1) -> object:
     btype = obj.get("type")
     if btype == "pball":
         _require_keys(obj, {"type", "dim", "p"})
-        return PBall(dim=_parse_dim(obj), p=_parse_p(obj["p"]))
+        return PBall(dim=_check_dim(obj["dim"]), p=_parse_p(obj["p"]))
     if btype == "product":
         _require_keys(obj, {"type", "p", "left", "right"})
         return Product(
@@ -242,16 +223,16 @@ def _parse_obj(obj, depth=1) -> object:
         )
     if btype == "revolution":
         _require_keys(obj, {"type", "dim", "profile"})
-        dim = _parse_dim(obj)
+        dim = _check_dim(obj["dim"])
         if dim < 2:
-            raise DomainError("revolution bodies need dim >= 2")
+            raise DomainError(f"revolution bodies need dim >= 2, got {dim}")
         return Revolution(dim=dim, profile=parse_profile(obj["profile"]))
     if btype == "linear":
         _require_keys(obj, {"type", "matrix", "inner"})
         return make_linear_image(obj["matrix"], _parse_obj(obj["inner"], depth + 1))
     if btype == "simplex":
         _require_keys(obj, {"type", "dim"})
-        return Simplex(dim=_parse_dim(obj))
+        return Simplex(dim=_check_dim(obj["dim"]))
     if btype == "interval":
         _require_keys(obj, {"type"}, {"dim"})
         if "dim" in obj and obj["dim"] != 1:

@@ -17,6 +17,12 @@ phi exact prints a volume only while it is a normal double (else nan, null in
 JSON), and always its log.  phi exact, scan and revolution take n <= 1000,
 judged by their routes; phi mc takes n <= 200.
 
+The verify suites judge at fixed thresholds: a relative residual of at most
+1e-10 between two routes to phi (1e-12 for duality), 1e-5 for a
+finite-difference identity, and a volume-product or isotropy-chain slack of
+at least -1e-10.  Every row prints its residual or slack, so a reader can
+apply another threshold to the output.
+
 Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input.
 Errors print a single machine-parsable line `error: <reason>: <detail>` on
 stderr.
@@ -32,6 +38,9 @@ import sys
 
 from .errors import DomainError, VerificationError
 from .exact import (
+    _check_p,
+    _normal_exp,
+    _p_to_json,
     dual_exponent,
     f_factor,
     inequality_report,
@@ -76,6 +85,13 @@ _VERIFY_DIMS = (2, 3, 5, 10, 20)
 _VERIFY_DIM_PAIRS = ((1, 1), (1, 2), (2, 3), (3, 5), (5, 10))
 _VERIFY_PS_ALL = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0, 64.0, math.inf)
 
+# the verify thresholds: relative residuals at most these
+TOL_MATCH = 1e-10  # two routes to phi(B_p^n)
+TOL_DUALITY = 1e-12  # phi(B_p^n) against phi(B_q^n)
+# and slacks at least minus these
+TOL_SANTALO = 1e-10  # |B_2^n|^2 - |K| |K°|
+TOL_CHAIN = 1e-10  # phi - the isotropy-chain bound
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a single-line, machine-parsable error channel."""
@@ -83,43 +99,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: invalid-input: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-
-
-def _p_value(text) -> float:
-    s = str(text).strip().lower()
-    if s == "inf":
-        return math.inf
-    try:
-        v = float(s)
-    except ValueError:
-        raise DomainError(f"p must be a decimal number or 'inf', got {text!r}")
-    if math.isnan(v) or v < 1.0:
-        raise DomainError(f"p must lie in [1, inf], got {text!r}")
-    return v
-
-
-def _tolerance(text) -> float:
-    """argparse type of the --tol-* flags: any finite float, negative included."""
-    try:
-        v = float(text)
-    except ValueError:
-        v = math.nan
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"tolerance must be a finite number, got {text!r}")
-    return v
-
-
-def _p_field(p: float):
-    return "inf" if math.isinf(p) else float(p)
-
-
-def _double(log_value: float, factor: float = 1.0) -> float:
-    """factor e^log_value while that is a normal double, else nan (null in JSON)."""
-    try:
-        v = factor * math.exp(log_value)
-    except OverflowError:
-        return math.nan
-    return v if sys.float_info.min <= v <= sys.float_info.max else math.nan
 
 
 def _fmt(v) -> str:
@@ -156,18 +135,18 @@ def _emit(records, fmt, stream=None) -> None:
 
 
 def _cmd_phi_exact(args):
-    p = _p_value(args.p)
+    p = _check_p(args.p)
     route = phi_via_moments if args.method == "moments" else phi_pball
     result = route(args.dim, p)
     lv, lw = result.log_volume, result.log_polar_volume
     rec = {
         "dim": args.dim,
-        "p": _p_field(p),
+        "p": _p_to_json(p),
         "method": args.method,
         "phi": result.phi,
-        "volume": _double(lv),
-        "polar_volume": _double(lw),
-        "cross_integral": _double(lv + lw, result.phi),
+        "volume": _normal_exp(lv),
+        "polar_volume": _normal_exp(lw),
+        "cross_integral": _normal_exp(lv + lw, result.phi),
         "log_volume": lv,
         "log_polar_volume": lw,
     }
@@ -203,29 +182,23 @@ def _cmd_phi_mc(args):
 
 
 def _cmd_f_eval(args):
-    p = _p_value(args.p)
+    p = _check_p(args.p)
     value = f_factor(args.y1, args.y2, p)
-    rec = {"y1": float(args.y1), "y2": float(args.y2), "p": _p_field(p), "value": value}
+    rec = {"y1": float(args.y1), "y2": float(args.y2), "p": _p_to_json(p), "value": value}
     return [rec], True
-
-
-def _parse_grid(text):
-    parts = [s for s in text.split(",") if s.strip()]
-    if not parts:
-        raise DomainError("empty p grid")
-    return [_p_value(s) for s in parts]
 
 
 def _cmd_scan(args):
     _load()
-    report = scan_p_argmax(args.dim, _parse_grid(args.grid) if args.grid else None)
+    grid = [s for s in args.grid.split(",") if s.strip()] if args.grid else None
+    report = scan_p_argmax(args.dim, grid)
     phi2 = report.extras["phi_at_2"]
     records = []
     for p, v in zip(report.grid, report.values):
         records.append(
             {
                 "dim": args.dim,
-                "p": _p_field(p),
+                "p": _p_to_json(p),
                 "phi": v,
                 "margin": v - phi2,
             }
@@ -252,7 +225,7 @@ def _residual_rows(check, cases, tol):
             {
                 "check": check,
                 "dim": n,
-                "p": _p_field(p),
+                "p": _p_to_json(p),
                 "residual": resid,
                 "tolerance": tol,
                 "status": "pass" if resid <= tol else "fail",
@@ -280,16 +253,16 @@ def _cmd_verify_theorem(args):
         for p in _VERIFY_PS_ALL
     )
     records = (
-        _residual_rows("product-decomposition", combined, args.tol_match)
-        + _residual_rows("recursion-vs-moments", moments, args.tol_match)
-        + _residual_rows("duality", dual, args.tol_duality)
+        _residual_rows("product-decomposition", combined, TOL_MATCH)
+        + _residual_rows("recursion-vs-moments", moments, TOL_MATCH)
+        + _residual_rows("duality", dual, TOL_DUALITY)
     )
     return records, all(rec["status"] == "pass" for rec in records)
 
 
 def _cmd_verify_harness(args):
     _load()
-    reports = [monotonicity_report(), finite_difference_report(tolerance=args.tol_fd)]
+    reports = [monotonicity_report(), finite_difference_report()]
     reports.extend(scan_p_argmax(n) for n in _VERIFY_DIMS)
     records = []
     ok = True
@@ -317,13 +290,13 @@ def _cmd_verify_inequalities(args):
             rep = inequality_report(n, p)
             santalo_slack = ball_product - math.exp(rep.log_santalo_product)
             chain_slack = rep.phi - rep.lower_bound
-            passed = santalo_slack >= -args.tol_santalo and chain_slack >= -args.tol_chain
+            passed = santalo_slack >= -TOL_SANTALO and chain_slack >= -TOL_CHAIN
             ok &= passed
             records.append(
                 {
                     "check": "volume-product-chain",
                     "dim": n,
-                    "p": _p_field(p),
+                    "p": _p_to_json(p),
                     "santalo_slack": santalo_slack,
                     "chain_slack": chain_slack,
                     "status": "pass" if passed else "fail",
@@ -404,19 +377,12 @@ def build_parser() -> _Parser:
     verify = sub.add_parser("verify", help="run a verification suite")
     vsub = verify.add_subparsers(dest="suite", required=True)
 
-    vt = vsub.add_parser("theorem", help="product decomposition + duality")
-    vt.add_argument("--tol-match", type=_tolerance, default=1e-10, dest="tol_match")
-    vt.add_argument("--tol-duality", type=_tolerance, default=1e-12, dest="tol_duality")
-    vt.set_defaults(func=_cmd_verify_theorem)
-
-    vh = vsub.add_parser("harness", help="monotonicity, signs, derivative identities")
-    vh.add_argument("--tol-fd", type=_tolerance, default=1e-5, dest="tol_fd")
-    vh.set_defaults(func=_cmd_verify_harness)
-
-    vi = vsub.add_parser("inequalities", help="volume products and isotropy chain")
-    vi.add_argument("--tol-santalo", type=_tolerance, default=1e-10, dest="tol_santalo")
-    vi.add_argument("--tol-chain", type=_tolerance, default=1e-10, dest="tol_chain")
-    vi.set_defaults(func=_cmd_verify_inequalities)
+    for suite, func, text in (
+        ("theorem", _cmd_verify_theorem, "product decomposition + duality"),
+        ("harness", _cmd_verify_harness, "monotonicity, signs, derivative identities"),
+        ("inequalities", _cmd_verify_inequalities, "volume products and isotropy chain"),
+    ):
+        vsub.add_parser(suite, help=text).set_defaults(func=func)
 
     rev = sub.add_parser("revolution", help="phi decomposition for a revolution body")
     rev.add_argument("--profile", required=True, help='ball|cylinder|cone|pball:P|{"grid": ...}')

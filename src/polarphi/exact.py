@@ -48,6 +48,7 @@ while their logs stay modest.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -69,10 +70,20 @@ PHI_PBALL_DIM_MAX = 1000
 
 
 def _check_p(p) -> float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
+    """The one rule on an exponent: a number or decimal text ("1.5", "inf"),
+    as float reads it, in [1, inf]."""
+    try:
+        v = float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"p must be a number or decimal text such as '1.5' or 'inf', got {p!r}")
+    if math.isnan(v) or v < 1.0:
         raise DomainError(f"p must lie in [1, inf], got {p!r}")
-    return p
+    return v
+
+
+def _p_to_json(p: float):
+    """An exponent as reports print it: "inf", or the float."""
+    return "inf" if math.isinf(p) else float(p)
 
 
 def _check_dim(n, cap=math.inf) -> int:
@@ -193,11 +204,22 @@ def _log_volume(n: int, p: float) -> float:
     return n * math.log(2.0) + n * log_gamma(1.0 + 1.0 / p) - log_gamma(1.0 + n / p)
 
 
+def _normal_exp(log_value: float, factor: float = 1.0) -> float:
+    """factor e^log_value while that is a normal double, else nan."""
+    try:
+        v = factor * math.exp(log_value)
+    except OverflowError:
+        return math.nan
+    return v if sys.float_info.min <= abs(v) <= sys.float_info.max else math.nan
+
+
 def _exp_volume(log_value: float) -> float:
-    """e^log_value, a DomainError past the largest double (2^n from n = 1,025)."""
-    if log_value > 709.782712893384:  # ln(sys.float_info.max)
-        raise DomainError(f"e^{log_value:.6g} exceeds the largest double")
-    return math.exp(log_value)
+    """e^log_value, a DomainError unless it is a normal double: 2^n overflows
+    from n = 1,025, and |B_1^n| is subnormal from n = 197."""
+    v = _normal_exp(log_value)
+    if math.isnan(v):
+        raise DomainError(f"e^{log_value:.6g} is not a normal double")
+    return v
 
 
 def pball_volume(n: int, p) -> float:
@@ -285,19 +307,18 @@ def inequality_report(n: int, p) -> IsotropyReport:
 
     The claims |K| |K°| <= |B_2^n|^2 (volume-product bound) and
     lower_bound <= phi (isotropy chain) are judged by
-    `polarphi verify inequalities`, with its --tol-* flags.  The identity
-    itself, phi = n R(n, p) R(n, q), is phi_via_moments, judged by
+    `polarphi verify inequalities`.  The identity itself,
+    phi = n R(n, p) R(n, q), is phi_via_moments, judged by
     `polarphi verify theorem`.
     """
-    n = _check_dim(n)
-    pair = dual_exponent(p)
-    lv = _log_volume(n, pair.p)
-    lw = _log_volume(n, pair.q)
+    p = _check_p(p)
+    rec = phi_pball(n, p)
+    lv, lw = rec.log_volume, rec.log_polar_volume
     lb2 = _log_volume(n, 2.0)
     return IsotropyReport(
         dim=n,
-        p=pair.p,
-        phi=phi_pball(n, pair.p).phi,
+        p=p,
+        phi=rec.phi,
         log_santalo_product=lv + lw,
         lower_bound=n * math.exp(2.0 / n * (lv + lw) - 4.0 / n * lb2) / (n + 2.0) ** 2,
     )

@@ -31,13 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .exact import f_factor, phi_pball
+from .exact import _check_dim, _check_p, f_factor, phi_pball
 from .specfun import digamma, pentagamma, tetragamma, trigamma
 
 # Ties at this level are violations, not passes: strict monotonicity is the
 # claim, and a difference indistinguishable from rounding noise doesn't
 # support it.
 TIE_EPS = 1e-12
+
+# the largest relative residual of a finite-difference identity that passes
+FD_TOLERANCE = 1e-5
 
 # the grids of monotonicity_report; x stays clear of the psi poles at {0, 1}
 _X_GRID = np.linspace(1e-3, 1.0 - 1e-3, 101)
@@ -152,11 +155,14 @@ def scan_p_argmax(n: int, p_grid=None) -> GridReport:
     The grid (default: default_p_grid()) must contain 2 and both endpoint
     exponents {1, inf}.  Violations collect every p != 2 whose margin
     phi(p) - phi(2) is not strictly negative (the maximum must be strict),
-    so an argmax other than 2 is among them.
+    so an argmax other than 2 is among them.  The strict maximum is claimed
+    for n >= 2 only: at n = 1 every exponent gives the interval's 1/9.
     """
+    if _check_dim(n) < 2:
+        raise DomainError(f"the maximum at p = 2 is claimed for dim >= 2, got {n}")
     if p_grid is None:
         p_grid = default_p_grid()
-    p_grid = [float(p) for p in p_grid]
+    p_grid = [_check_p(p) for p in p_grid]
     if 2.0 not in p_grid or 1.0 not in p_grid or math.inf not in p_grid:
         raise DomainError("p grid must contain 1, 2 and inf")
     values = [phi_pball(n, p).phi for p in p_grid]
@@ -263,10 +269,10 @@ def _fd_x_grid() -> list:
 _FD_Y_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
-def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
+def finite_difference_report() -> GridReport:
     """Derivative identities vs central differences, plus exact symmetries.
 
-    Residuals (relative):
+    Residuals (relative, each passing at most FD_TOLERANCE):
       * d/dx ln f1  vs  F(x, y1) - F(x, y2)
       * dF/dy       vs  G
       * dG/dx       vs  H(x, y+2) - H(x, y)
@@ -281,7 +287,7 @@ def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
 
     def note(tag, point, rel):
         residuals.append(rel)
-        if not rel <= tolerance:
+        if not rel <= FD_TOLERANCE:
             violations.append(((tag,) + tuple(point), rel))
 
     for y1, y2 in ((1.0, 2.0), (1.0, 3.0), (2.0, 5.0)):
@@ -339,5 +345,5 @@ def finite_difference_report(*, tolerance: float = 1e-5) -> GridReport:
         values=residuals,
         violations=violations,
         max_residual=_worst(residuals, 0.0),
-        tolerance=tolerance,
+        tolerance=FD_TOLERANCE,
     )

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exact import PHI_PBALL_DIM_MAX, _log_volume, dual_exponent, phi_pball
+from .exact import PHI_PBALL_DIM_MAX, _check_dim, _check_p, _log_volume, dual_exponent, phi_pball
 from .specfun import log_beta
 
 _NAMED_EXPONENT = {"ball": 2.0, "cone": 1.0, "cylinder": math.inf}
@@ -163,14 +163,9 @@ def parse_profile(value) -> RevolutionProfile:
         if name in _NAMED_EXPONENT:
             return RevolutionProfile(kind=name)
         if name.startswith("pball:"):
-            try:
-                P = float(name.split(":", 1)[1])
-            except ValueError:
-                raise DomainError(f"malformed pball profile exponent in {value!r}")
-            if not math.isfinite(P) or P < 1.0:
-                raise DomainError(
-                    f"pball profile exponent must be a finite real >= 1, got {P!r}"
-                )
+            P = _check_p(name.split(":", 1)[1])
+            if math.isinf(P):
+                raise DomainError(f"pball:inf is the profile cylinder, got {value!r}")
             return RevolutionProfile(kind="pball", param=P)
         raise DomainError(f"unknown profile {value!r}")
     if isinstance(value, dict) and set(value.keys()) == {"grid"}:
@@ -265,10 +260,8 @@ def profile_integrals(profile: RevolutionProfile, n: int):
     linear segment with enough nodes to be exact for degree n + 1.  n stops
     at phi_pball's bound, which phi_revolution meets at n - 1 for the slice.
     """
-    if not 2 <= n <= PHI_PBALL_DIM_MAX:
-        raise DomainError(
-            f"revolution bodies need 2 <= dimension <= {PHI_PBALL_DIM_MAX}, got {n}"
-        )
+    if _check_dim(n, PHI_PBALL_DIM_MAX) < 2:
+        raise DomainError(f"revolution bodies need dim >= 2, got {n}")
     if profile.kind != "grid":
         P = profile.exponent
         if math.isinf(P):

@@ -1,4 +1,5 @@
-"""Real-argument log-gamma, log-beta, digamma and polygamma (orders 1-3).
+"""Real-argument log-gamma, log-beta, and the polygammas psi^(k), k = 0..3:
+digamma, trigamma, tetragamma and pentagamma.
 
 log_gamma and log_beta use the C library's lgamma (math.lgamma).  The
 polygamma psi^(k) recurrence-shifts the argument up to ``z >= 12``, then adds
@@ -12,7 +13,8 @@ summed by Horner's rule in 1/z^2.  All four orders read the one table, built
 from B_2, ..., B_16.  Eight terms at shift 12 leave the truncated tail below
 1e-16 relative, so the dominant error is the accumulated rounding of the
 shift sums (worst observed: 6.6e-16 against mpmath on a log grid over
-[1e-3, 1e4]).  The public wrappers validate the domain.
+[1e-3, 1e4]).  Each named function validates its domain and calls its
+kernel.
 """
 
 import math
@@ -81,9 +83,6 @@ def _pentagamma_kernel(x):
     return 2.0 * zz / z + 3.0 * zz * zz + _tail(_TAIL[3], zz) * zz / z + rec
 
 
-_PSI = (_digamma_kernel, _trigamma_kernel, _tetragamma_kernel, _pentagamma_kernel)
-
-
 def _check_positive(x, name):
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
@@ -101,13 +100,6 @@ def log_beta(a: float, b: float) -> float:
     a = _check_positive(a, "a")
     b = _check_positive(b, "b")
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def polygamma(k: int, x: float) -> float:
-    """psi^(k)(x) for k in {0,1,2,3} and x > 0 (k=0 is the digamma)."""
-    if k not in (0, 1, 2, 3):
-        raise DomainError(f"polygamma order must be in {{0,1,2,3}}, got {k!r}")
-    return _PSI[k](_check_positive(x, "x"))
 
 
 def digamma(x: float) -> float:

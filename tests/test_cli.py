@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +179,9 @@ def test_scan_small_grid():
     assert all(r["margin"] < 0.0 for r in rows if r["p"] != 2.0)
     assert "argmax p=2" in res.stderr  # diagnostics on stderr, report on stdout
     assert run_cli("scan", "--dim", "3", "--grid", "1,2,4").returncode == 2  # no inf
+    # every exponent ties with p = 2 at n = 1, where no maximum is claimed
+    res = run_cli("scan", "--dim", "1")
+    assert res.returncode == 2 and len(res.stderr.strip().splitlines()) == 1
     # the maximum must be strict, so there is no tolerance to set
     assert run_cli("scan", "--dim", "3", "--tol-max", "1e-12").returncode == 2
 
@@ -273,23 +278,29 @@ def test_verify_theorem_evaluates_each_pair_once(monkeypatch, capsys):
         assert out == capsys.readouterr().out, fmt
 
 
-def test_verify_respects_tolerance_flags():
-    res = run_cli("verify", "theorem", "--tol-match", "0")
-    assert res.returncode == 1  # roundoff alone must now register as violation
-    rows = json.loads(res.stdout)
-    assert any(r["status"] == "fail" for r in rows)
+def test_verify_respects_tolerance_flags(monkeypatch, capsys):
+    # the threshold is fixed at 1e-10: a moment route off by 1e-9 relative
+    # fails every recursion-vs-moments row, and no other row
+    real = cli.phi_via_moments
+    monkeypatch.setattr(
+        cli, "phi_via_moments", lambda n, p: replace(real(n, p), phi=real(n, p).phi * (1.0 + 1e-9))
+    )
+    assert cli.main(["verify", "theorem"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    moments = [r for r in rows if r["check"] == "recursion-vs-moments"]
+    assert moments and all(r["status"] == "fail" and r["tolerance"] == 1e-10 for r in moments)
+    assert all(r["status"] == "pass" for r in rows if r["check"] != "recursion-vs-moments")
 
 
 def test_verify_tolerances_must_be_finite(capsys):
+    # the thresholds are fixed: each former --tol-* flag is invalid input
     for argv in (
-        ["theorem", "--tol-match", "nan"],
-        ["theorem", "--tol-match", "inf"],
-        ["theorem", "--tol-duality=-inf"],
-        ["harness", "--tol-fd", "nan"],
-        ["inequalities", "--tol-santalo", "nan"],
-        ["inequalities", "--tol-chain", "nan"],
-        ["inequalities", "--tol-chain=-inf"],
-        ["inequalities", "--tol-chain", "tight"],
+        ["theorem", "--tol-match", "1e-10"],
+        ["theorem", "--tol-duality", "1e-12"],
+        ["harness", "--tol-fd", "1e-5"],
+        ["inequalities", "--tol-santalo", "1e-10"],
+        ["inequalities", "--tol-chain=-1"],
+        ["inequalities", "--tol-identity", "1e-10"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", *argv])
@@ -299,27 +310,82 @@ def test_verify_tolerances_must_be_finite(capsys):
         assert len(err.strip().splitlines()) == 1, argv
 
 
-def test_verify_inequalities_is_the_one_judge(capsys):
-    # inequality_report only computes: the command's --tol-* flags decide
-    def run(*flags):
-        code = cli.main(["verify", "inequalities", *flags])
-        return code, json.loads(capsys.readouterr().out)
-
-    code, rows = run("--tol-santalo", "0")
-    assert code == 0 and all(r["status"] == "pass" for r in rows)
+def test_verify_inequalities_is_the_one_judge(monkeypatch, capsys):
+    # inequality_report only computes; the command judges at fixed thresholds
+    assert cli.main(["verify", "inequalities"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows and all(r["status"] == "pass" for r in rows)
     # the ball's slack is exactly 0 at p = 2, and positive at every other p
-    code, rows = run("--tol-santalo=-1e-300")
-    assert code == 1
-    assert sorted(r["dim"] for r in rows if r["status"] == "fail") == list(cli._VERIFY_DIMS)
-    assert all(r["p"] == 2.0 for r in rows if r["status"] == "fail")
-    assert run("--tol-chain=-1")[0] == 1
+    assert all(r["santalo_slack"] == 0.0 for r in rows if r["p"] == 2.0)
+    assert all(r["santalo_slack"] > 0.0 for r in rows if r["p"] != 2.0)
     # the isotropy identity is judged once, by `verify theorem`
-    assert "identity_rel_residual" not in run()[1][0]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "inequalities", "--tol-identity", "1e-10"])
-    err = capsys.readouterr().err
-    assert exc.value.code == 2
-    assert err.startswith("error: invalid-input:") and len(err.strip().splitlines()) == 1
+    assert "identity_rel_residual" not in rows[0]
+    # a chain bound above phi fails its own row, and only that row
+    real = cli.inequality_report
+    monkeypatch.setattr(
+        cli, "inequality_report",
+        lambda n, p: replace(real(n, p), lower_bound=1.0) if (n, p) == (3, 1.5) else real(n, p),
+    )
+    assert cli.main(["verify", "inequalities"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["dim"], r["p"]) for r in rows if r["status"] == "fail"] == [(3, 1.5)]
+    assert next(r for r in rows if r["status"] == "fail")["chain_slack"] < -0.5
+
+
+def test_bad_exponent_is_invalid_input(monkeypatch, capsys):
+    # the CLI's --p, a body's "p" and a pball:P profile share one rule; a
+    # body takes exactly the number or "inf" of its JSON grammar
+    for argv, body in (
+        (["f-eval", "--y1", "1", "--y2", "2", "--p", "abc"], None),
+        (["phi", "exact", "--dim", "3", "--p", "nan"], None),
+        (["scan", "--dim", "3", "--grid", "1,2,x,inf"], None),
+        (["revolution", "--profile", "pball:inf", "--dim", "3"], None),
+        (["phi", "mc", "--body", "-", "--samples", "10", "--seed", "1"],
+         '{"type": "pball", "dim": 2, "p": "Infinity"}'),
+        (["phi", "mc", "--body", "-", "--samples", "10", "--seed", "1"],
+         '{"type": "pball", "dim": 2, "p": true}'),
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(body or ""))
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:") and len(err.strip().splitlines()) == 1
+
+
+def _readme_commands():
+    """(argv, stdin) for each `polarphi ...` command of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands, pending = [], ""
+    for line in block.replace("\\\n", "").splitlines():
+        if not pending and (not line.strip() or line.lstrip().startswith("#")):
+            continue
+        pending += line + "\n"
+        try:
+            words = shlex.split(pending)
+        except ValueError:  # a quoted body goes on to the next line
+            continue
+        pending, stdin = "", None
+        if words[0] == "echo":  # echo BODY | polarphi ...
+            assert words[2] == "|", words
+            stdin, words = words[1], words[3:]
+        assert words[0] == "polarphi", words
+        commands.append((words[1:], stdin))
+    assert not pending
+    return commands
+
+
+def test_readme_cli_commands_run(monkeypatch, capsys):
+    # every command the README shows must run: no removed flag, no bad body
+    commands = _readme_commands()
+    assert {"phi", "f-eval", "scan", "verify", "revolution"} <= {w for a, _ in commands for w in a}
+    for argv, stdin in commands:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 0, (argv, capsys.readouterr().err)
+        capsys.readouterr()
 
 
 def test_deeply_nested_body_is_invalid_input():

@@ -32,6 +32,8 @@ from polarphi.exact import (
     F_FACTOR_Y2_MAX,
     PHI_INTERVAL,
     PHI_PBALL_DIM_MAX,
+    _log_r,
+    _log_volume,
     dual_exponent,
     f_factor,
     inequality_report,
@@ -119,12 +121,24 @@ def test_volumes_small():
 
 def test_volume_past_the_double_range_is_a_domain_error():
     # |B_inf^n| = |(B_1^n)°| = 2^n: at n = 1,024 about the largest double, at
-    # 1,025 past it; an OverflowError from math.exp is not a DomainError
+    # 1,025 past it; an OverflowError from math.exp is not a DomainError.
+    # At the small end |B_1^200| = 2^200 / 200! is about 2.0e-315, a
+    # subnormal double with six significant digits left
     top = sys.float_info.max
     assert pball_volume(1024, math.inf) == pytest.approx(top, rel=1e-13)
-    for call, n, p in ((pball_volume, 1025, math.inf), (pball_moment2, 1026, math.inf)):
-        with pytest.raises(DomainError):
+    for call, n, p in (
+        (pball_volume, 1025, math.inf),
+        (pball_moment2, 1026, math.inf),
+        (pball_volume, 200, 1.0),
+        (pball_moment2, 200, 1.0),
+    ):
+        with pytest.raises(DomainError, match="not a normal double"):
             call(n, p)
+    # in the normal range the value is e^{ln |B_p^n|}, bit for bit
+    for n in range(1, 51):
+        for p in ALL_PS:
+            assert pball_volume(n, p) == math.exp(_log_volume(n, p)), (n, p)
+            assert pball_moment2(n, p) == math.exp(_log_volume(n, p) + _log_r(n, p)), (n, p)
     # the records keep logs, finite up to the routes' own dimension bound
     n = PHI_PBALL_DIM_MAX
     for p in (1.0, math.inf):
@@ -386,14 +400,16 @@ def test_log_volume_against_mpmath():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        phi_pball(0, 2.0)
-    with pytest.raises(DomainError):
-        phi_pball(True, 2.0)
-    with pytest.raises(DomainError):
-        phi_pball(3, 0.5)
-    with pytest.raises(DomainError):
-        phi_pball(3, math.nan)
+    # one rule per input: n is a positive integer, and p a number or the
+    # decimal text float reads ("1.5", "inf"), in [1, inf]
+    for n in (0, True, 3.5, "3", None):
+        with pytest.raises(DomainError):
+            phi_pball(n, 2.0)
+    for p in (0.5, math.nan, "abc", None, [2.0], "nan", "0.5", "-inf", 10**400):
+        with pytest.raises(DomainError):
+            phi_pball(3, p)
+    assert phi_pball(3, "1.5") == phi_pball(3, 1.5)
+    assert phi_pball(3, " inf ") == phi_pball(3, math.inf)
     with pytest.raises(DomainError):
         f_factor(1.0, 2.0, 0.0)
     with pytest.raises(DomainError):

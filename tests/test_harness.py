@@ -136,6 +136,10 @@ def test_scan_grid_preconditions():
         scan_p_argmax(3, [1.0, 4.0, math.inf])  # no 2
     with pytest.raises(DomainError):
         scan_p_argmax(3, [2.0, 4.0, math.inf])  # no 1
+    # at n = 1 every exponent gives the interval's 1/9 and ties with p = 2;
+    # the strict maximum is claimed for n >= 2 only
+    with pytest.raises(DomainError, match="got 1$"):
+        scan_p_argmax(1)
 
 
 def test_default_p_grid_contents():

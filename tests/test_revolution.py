@@ -244,6 +244,14 @@ def test_dim_validation():
             profile_integrals(parse_profile("ball"), n)
         with pytest.raises(DomainError, match=f"got {n}$"):
             phi_revolution(parse_profile("cone"), n)
+    # a non-integer n is named as given, on a grid as on a named profile
+    for desc in ("cone", README_GRID):
+        with pytest.raises(DomainError, match="got 3.5$"):
+            phi_revolution(parse_profile(desc), 3.5)
+    # pball:P takes the exponent rule, and P = inf is the cylinder
+    for spec in ("pball:abc", "pball:0.5", "pball:nan", "pball:inf"):
+        with pytest.raises(DomainError):
+            parse_profile(spec)
 
 
 def _random_concave_profile(slopes):

@@ -27,7 +27,6 @@ from polarphi.specfun import (
     log_beta,
     log_gamma,
     pentagamma,
-    polygamma,
     tetragamma,
     trigamma,
 )
@@ -112,17 +111,6 @@ def test_derivative_ladder_central_differences():
             fd = (lo(x + h) - lo(x - h)) / (2.0 * h)
             ref = hi(x)
             assert abs(fd - ref) <= 1e-6 * max(1.0, abs(ref)), (x, lo.__name__)
-
-
-def test_polygamma_dispatch():
-    assert polygamma(0, 2.0) == digamma(2.0)
-    assert polygamma(1, 2.0) == trigamma(2.0)
-    assert polygamma(2, 2.0) == tetragamma(2.0)
-    assert polygamma(3, 2.0) == pentagamma(2.0)
-    with pytest.raises(DomainError):
-        polygamma(4, 2.0)
-    with pytest.raises(DomainError):
-        polygamma(-1, 2.0)
 
 
 def test_log_beta():
