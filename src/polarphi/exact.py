@@ -48,6 +48,8 @@ while their logs stay modest.
 """
 
 import math
+import operator
+import re
 import sys
 from dataclasses import dataclass
 
@@ -68,11 +70,19 @@ F_FACTOR_Y2_MAX = 1e4
 # bound (3.1e-13 at 1,000), so both routes of `phi exact` answer alike.
 PHI_PBALL_DIM_MAX = 1000
 
+# decimal text as float reads it, without the digit-group underscores and
+# non-ASCII digits that float also takes ("1_5" would read as 15)
+_DECIMAL = re.compile(
+    r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?)\s*", re.IGNORECASE
+)
+
 
 def _check_p(p) -> float:
     """The one rule on an exponent: a number or decimal text ("1.5", "inf"),
-    as float reads it, in [1, inf]."""
+    in [1, inf]."""
     try:
+        if isinstance(p, str) and not _DECIMAL.fullmatch(p):
+            raise ValueError(p)
         v = float(p)
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"p must be a number or decimal text such as '1.5' or 'inf', got {p!r}")
@@ -87,7 +97,12 @@ def _p_to_json(p: float):
 
 
 def _check_dim(n, cap=math.inf) -> int:
-    if not isinstance(n, (int,)) or isinstance(n, bool):
+    """A dimension: an integer of any integer type but bool, in [1, cap]."""
+    try:
+        if isinstance(n, bool):
+            raise TypeError(n)
+        n = operator.index(n)
+    except TypeError:
         raise DomainError(f"dimension must be a positive integer, got {n!r}")
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")

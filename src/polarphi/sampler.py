@@ -69,13 +69,17 @@ a node at slot s in dimension n:
 
 Gamma(1/p) is -ln U at p = 1 and -ln(U0) cos^2(2 pi U1) at p = 2 (Exp(1)
 times Beta(1/2, 1/2), as in Box-Muller), with no rejection.  At other p the
-GS kernel is vectorized over samples: each coordinate runs its rounds on the
-lanes (one sample's draw for that coordinate) still rejecting, moving the
-accepted ones into one contiguous column after every round.  Once few lanes
-remain, they run several rounds at once and keep their first accepted one,
-so a coordinate's tail costs a few array calls.  Each branch of a round is
-evaluated only on the candidates it applies to.  A lane's round k reads
-counters (2k, 2k + 1) of its own slot whatever the other lanes do.
+GS kernel is vectorized over samples.  Each coordinate's draws fill one
+contiguous row, and its rounds run on the lanes (one sample's draw for that
+coordinate) still rejecting.  A round of one candidate per lane writes every
+candidate straight to its lane, accepted or not: a rejected lane is written
+again by the round that later accepts it, which is the last to write it.
+Once few lanes remain, they run several rounds at once and write only their
+first accepted one, so a coordinate's tail costs a few array calls.  Each
+branch of a round is evaluated only on the candidates it applies to.  A
+lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
+other lanes do.  The rows are transposed to the samples' (m, n) points once,
+by the final division of the x_p rule.
 """
 
 import bisect
@@ -127,27 +131,34 @@ def _rounds(lanes):
 
 
 def _gamma_gs(bases, p, slot, k):
-    """(g, |g|^(1/p)) as (m, k) arrays: Gamma(1/p) draws on slots slot..slot+k-1.
+    """(g, |g|^(1/p)) as (k, m) arrays: row j holds the Gamma(1/p) draws of slot slot + j.
 
-    p = 1 is an exponential, p = 2 -ln(U0) cos^2(2 pi U1); otherwise
-    Ahrens-Dieter GS with lane compaction, returning the exact magnitude from
-    each branch.  Lanes still rejecting run _rounds(lanes) rounds at once and
-    keep their first accepted round r, read at counters (2r, 2r + 1).
+    p = 1 is an exponential, p = 2 -ln(U0) cos^2(2 pi U1), each computed in
+    its rows.  Otherwise Ahrens-Dieter GS (Computing 12, 1974) with lane
+    compaction, with the exact magnitude from each branch.  A one-round batch
+    writes every candidate to its lane: a rejected lane is written again by a
+    later round, and the round that accepts it writes it last.  So the first
+    round, whose lanes are the rows in order, writes with no gather.  Lanes
+    still rejecting run _rounds(lanes) rounds at once and write only their
+    first accepted round r, read at counters (2r, 2r + 1).
     """
     m = bases.shape[0]
-    gs = np.empty((m, k))
-    mags = np.empty((m, k))
-    gcol, mcol = np.empty(m), np.empty(m)  # one coordinate's accepted draws
+    gs = np.empty((k, m))
+    mags = np.empty((k, m))
     a = 1.0 / p
     b = 1.0 + a / math.e
     for j in range(k):
         sj = slot + j
+        g_row, m_row = gs[j], mags[j]
         if p in (1.0, 2.0):  # no rejection
-            g = -np.log(u01_v(bases, sj, 0))
-            if p == 2.0:
-                g *= np.cos(2.0 * np.pi * u01_v(bases, sj, 1)) ** 2
-            gs[:, j] = g
-            mags[:, j] = g if p == 1.0 else np.sqrt(g)
+            np.negative(np.log(u01_v(bases, sj, 0), out=g_row), out=g_row)
+            if p == 1.0:
+                m_row[...] = g_row
+            else:
+                c = u01_v(bases, sj, 1)
+                c *= 2.0 * np.pi
+                g_row *= np.square(np.cos(c, out=c), out=c)
+                np.sqrt(g_row, out=m_row)
             continue
         act = np.arange(m)  # rows still rejecting in this coordinate
         r = 0
@@ -159,14 +170,18 @@ def _gamma_gs(bases, p, slot, k):
             if rounds > 1:
                 lanes = np.repeat(act, rounds)
                 ks = np.tile(np.arange(2 * r, 2 * (r + rounds), 2, dtype=np.uint64), act.size)
-            lane_bases = bases if r == 0 and rounds == 1 else bases[lanes]
+            first = r == 0 and rounds == 1  # the lanes are the rows, in order
+            lane_bases = bases if first else bases[lanes]
             r += rounds
-            q = b * u01_v(lane_bases, sj, ks)
+            # in the first round q goes straight into the magnitudes: the small
+            # branch's magnitude is q, and the big branch overwrites its lanes
+            q = np.multiply(u01_v(lane_bases, sj, ks), b, out=m_row if first else None)
             u2 = u01_v(lane_bases, sj, ks + 1)
             small = np.nonzero(q <= 1.0)[0]
             big = np.nonzero(q > 1.0)[0]
             # small branch: g = q^p, magnitude q exactly (no p-th root underflow)
-            g_small = q[small] ** p
+            q_small = q[small]
+            g_small = q_small ** p
             ok_small = u2[small] <= np.exp(-g_small)
             # big branch: g = -log((b - q) / a)
             g_big = -np.log((b - q[big]) * p)
@@ -180,14 +195,21 @@ def _gamma_gs(bases, p, slot, k):
                 per_lane &= np.cumsum(per_lane, axis=1) == 1
                 ok_small, ok_big = acc[small], acc[big]
                 acc = per_lane.any(axis=1)
-            rows = lanes[small[ok_small]]
-            gcol[rows] = g_small[ok_small]
-            mcol[rows] = q[small[ok_small]]
-            rows = lanes[big[ok_big]]
-            gcol[rows] = g_big[ok_big]
-            mcol[rows] = np.exp(a * log_g[ok_big])
-            act = act[~acc]
-        gs[:, j], mags[:, j] = gcol, mcol
+                small, q_small, g_small = small[ok_small], q_small[ok_small], g_small[ok_small]
+                big, g_big, log_g = big[ok_big], g_big[ok_big], log_g[ok_big]
+            # every candidate left is written to its lane, accepted or not
+            if first:  # the lanes are the rows, and m_row already holds q
+                g_row[small] = g_small
+                g_row[big] = g_big
+                m_row[big] = np.exp(a * log_g)
+            else:
+                rows = lanes[small]
+                g_row[rows] = g_small
+                m_row[rows] = q_small
+                rows = lanes[big]
+                g_row[rows] = g_big
+                m_row[rows] = np.exp(a * log_g)
+            act = np.flatnonzero(~acc) if first else act[~acc]  # first: act[~acc], no gather
     return gs, mags
 
 
@@ -243,28 +265,32 @@ def _lp_rows(body, bases, slot):
     l_p norm (sum G)^{1/p}; at p = inf the part is V_i^{1/n_i} u_i, over the
     largest radius.  G_i^{1/p} and (sum G)^{1/p} are p-th roots of the Gamma
     sums; where a sum underflows at huge p, the l_p norm of the magnitudes
-    behind it, which never underflow, takes its place.
+    behind it, which never underflow, takes its place.  Coordinates are drawn
+    as contiguous rows and transposed once, by the final division.
     """
     p = float(body.p)
     m = bases.shape[0]
     inf = math.isinf(p)
     total = np.zeros(m)  # sum G, or the largest radius at p = inf
-    parts, norms = [], []
+    parts, norms = [], []  # (m, n_i) arrays, coordinates as transposed (n_i, m) rows
     for share, factor, start in _factors(body, slot):
         k = factor.dim
         coords = share is None
         if coords and inf:
-            part = np.empty((m, k))
-            for j in range(k):
-                w = 2.0 * u01_v(bases, start + j, 0) - 1.0
-                part[:, j] = w
-                # a running max of the contiguous column: no (m, k) temporary
-                np.maximum(total, np.abs(w, out=w), out=total)
+            rows = np.empty((k, m))
+            for j, w in enumerate(rows):
+                t = u01_v(bases, start + j, 0)
+                t *= 2.0
+                np.subtract(t, 1.0, out=w)
+                np.maximum(total, np.abs(w, out=t), out=total)
+            part = rows.T
         elif coords:
-            gs, part = _gamma_gs(bases, p, start, k)
-            total += gs.sum(axis=1)
-            for j in range(k):
-                np.copysign(part[:, j], u01_v(bases, start + k, j) - 0.5, out=part[:, j])
+            gs, mags = _gamma_gs(bases, p, start, k)
+            total += _row_sums(gs)
+            del gs
+            for j, row in enumerate(mags):
+                np.copysign(row, u01_v(bases, start + k, j) - 0.5, out=row)
+            part = mags.T
             norms.append(part)
         elif inf:
             rad = u01_v(bases, share, 0) ** (1.0 / k)
@@ -272,23 +298,42 @@ def _lp_rows(body, bases, slot):
             np.maximum(total, rad, out=total)
         else:
             gs, mags = _gamma_gs(bases, p, share, k)
-            s = gs.sum(axis=1)
+            s = _row_sums(gs)
             total += s
             low = s < _TINY
             s **= 1.0 / p
             if low.any():
-                s[low] = _pnorm_rows(mags[low], p)
+                s[low] = _pnorm_rows(mags.T[low], p)
             norms.append(s[:, None])
             del gs, mags  # free them before the factor's own draws
             part = _draw(factor, bases, start) * norms[-1]
         parts.append(part)
-    out = parts[0] if len(parts) == 1 else np.hstack(parts)
     if not inf:
         low = total < _TINY
         total **= 1.0 / p
         if low.any():
             total[low] = _pnorm_rows(np.hstack([a[low] for a in norms]), p)
-    out /= total[:, None]
+    out = np.empty((m, body.dim))
+    col = 0
+    for part in parts:
+        np.divide(part, total[:, None], out=out[:, col : col + part.shape[1]])
+        col += part.shape[1]
+    return out
+
+
+def _row_sums(gs):
+    """Each sample's sum of its k draws in the rows of gs.
+
+    Bit for bit as NumPy sums the (m, k) array along its rows: one term at a
+    time below 8 terms, pairwise from 8.  The pairwise sums read C-order
+    (m, k) copies, made 4,096 samples at a time to keep the copy small.
+    """
+    k, m = gs.shape
+    if k < 8:
+        return gs.sum(axis=0)
+    out = np.empty(m)
+    for c in range(0, m, 4096):
+        out[c : c + 4096] = gs[:, c : c + 4096].T.copy().sum(axis=1)
     return out
 
 

@@ -337,6 +337,9 @@ def test_bad_exponent_is_invalid_input(monkeypatch, capsys):
     # body takes exactly the number or "inf" of its JSON grammar
     for argv, body in (
         (["f-eval", "--y1", "1", "--y2", "2", "--p", "abc"], None),
+        (["f-eval", "--y1", "1", "--y2", "2", "--p", "1_5"], None),
+        (["phi", "exact", "--dim", "3", "--p", "1_5"], None),
+        (["scan", "--dim", "3", "--grid", "1,1_5,2,inf"], None),
         (["phi", "exact", "--dim", "3", "--p", "nan"], None),
         (["scan", "--dim", "3", "--grid", "1,2,x,inf"], None),
         (["revolution", "--profile", "pball:inf", "--dim", "3"], None),

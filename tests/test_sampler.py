@@ -22,9 +22,10 @@ Distributional oracles (independent closed forms):
 Structural contracts: counter-based determinism (prefix invariance, exact
 repeatability, rows that follow their sample indices under permutation and
 gaps, for every sampling rule; Monte Carlo and RNG bits pinned to recorded
-values), membership of every sample, and the vectorized p-ball kernel and
+values), membership of every sample, the vectorized p-ball kernel and
 interior rule u V^{1/n} agreeing to roundoff with a one-sample-at-a-time
-reference.
+reference, and the GS kernel's rows equal bit for bit to its earlier column
+layout.
 """
 
 import math
@@ -60,6 +61,7 @@ from polarphi.sampler import (
     _BLOCK,
     MCEstimate,
     _dispatch_sample,
+    _rounds,
     estimate_phi,
     sample_bases_v,
     sample_body,
@@ -245,6 +247,89 @@ def test_vectorized_sampler_matches_scalar_reference():
             _fill_pball_reference(out, 77, idx, float(p))
         vec = sample_pball(n, p, 4000, 77)
         assert np.abs(out - vec).max() <= 1e-12, (n, p)
+
+
+# ---- the GS kernel in its earlier column layout, kept verbatim as the reference ----
+
+
+def _gamma_gs_columns(bases, p, slot, k):
+    """(g, |g|^(1/p)) as (m, k) arrays: Gamma(1/p) draws on slots slot..slot+k-1,
+    each round's accepted draws gathered into one column."""
+    m = bases.shape[0]
+    gs = np.empty((m, k))
+    mags = np.empty((m, k))
+    gcol, mcol = np.empty(m), np.empty(m)  # one coordinate's accepted draws
+    a = 1.0 / p
+    b = 1.0 + a / math.e
+    for j in range(k):
+        sj = slot + j
+        if p in (1.0, 2.0):  # no rejection
+            g = -np.log(u01_v(bases, sj, 0))
+            if p == 2.0:
+                g *= np.cos(2.0 * np.pi * u01_v(bases, sj, 1)) ** 2
+            gs[:, j] = g
+            mags[:, j] = g if p == 1.0 else np.sqrt(g)
+            continue
+        act = np.arange(m)  # rows still rejecting in this coordinate
+        r = 0
+        while act.size:
+            rounds = _rounds(act.size)
+            # candidate c is lane lanes[c] at counters (ks[c], ks[c] + 1); a
+            # one-round batch uses act and a scalar counter, with no copies
+            lanes, ks = act, np.uint64(2 * r)
+            if rounds > 1:
+                lanes = np.repeat(act, rounds)
+                ks = np.tile(np.arange(2 * r, 2 * (r + rounds), 2, dtype=np.uint64), act.size)
+            lane_bases = bases if r == 0 and rounds == 1 else bases[lanes]
+            r += rounds
+            q = b * u01_v(lane_bases, sj, ks)
+            u2 = u01_v(lane_bases, sj, ks + 1)
+            small = np.nonzero(q <= 1.0)[0]
+            big = np.nonzero(q > 1.0)[0]
+            # small branch: g = q^p, magnitude q exactly (no p-th root underflow)
+            g_small = q[small] ** p
+            ok_small = u2[small] <= np.exp(-g_small)
+            # big branch: g = -log((b - q) / a)
+            g_big = -np.log((b - q[big]) * p)
+            log_g = np.log(g_big)
+            ok_big = u2[big] <= np.exp((a - 1.0) * log_g)
+            acc = np.empty(q.size, dtype=bool)
+            acc[small] = ok_small
+            acc[big] = ok_big
+            if rounds > 1:  # a lane keeps only its first accepted round
+                per_lane = acc.reshape(act.size, rounds)  # a view of acc
+                per_lane &= np.cumsum(per_lane, axis=1) == 1
+                ok_small, ok_big = acc[small], acc[big]
+                acc = per_lane.any(axis=1)
+            rows = lanes[small[ok_small]]
+            gcol[rows] = g_small[ok_small]
+            mcol[rows] = q[small[ok_small]]
+            rows = lanes[big[ok_big]]
+            gcol[rows] = g_big[ok_big]
+            mcol[rows] = np.exp(a * log_g[ok_big])
+            act = act[~acc]
+        gs[:, j], mags[:, j] = gcol, mcol
+    return gs, mags
+
+
+def test_gs_rows_match_the_column_kernel_bit_for_bit():
+    # the row kernel changes where draws are stored, never how they are
+    # computed, so it equals the column kernel in every bit on any CPU: both
+    # run in this process with the same SIMD dispatch.  Row sums must equal
+    # NumPy's sums of the (m, k) array along its rows (pairwise from k = 8)
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    for m in (1, 7, 5000, 33_334):
+        bases = sample_bases_v(91, np.arange(m, dtype=np.uint64))
+        for p in (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 50.0, 1e6):
+            for k in (1, 4, 10):
+                ref_g, ref_mag = _gamma_gs_columns(bases, p, 3, k)
+                g, mag = sampler._gamma_gs(bases, p, 3, k)
+                assert g.shape == mag.shape == (k, m), (m, p, k)
+                assert np.array_equal(bits(g.T), bits(ref_g)), (m, p, k)
+                assert np.array_equal(bits(mag.T), bits(ref_mag)), (m, p, k)
+                assert np.array_equal(bits(sampler._row_sums(g)), bits(ref_g.sum(axis=1))), (m, p, k)
 
 
 def test_samples_inside_body():
@@ -644,6 +729,22 @@ def test_estimate_memory_is_bounded():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, peaks
+
+
+def test_one_block_transient_memory():
+    # one block of 33,334 draws holds at most 3.5 times the bytes of the
+    # points it returns: the (k, m) Gamma rows, a slice of their (m, k) copy
+    # for the row sums, and the (m, n) points
+    idx = np.arange(33_334, dtype=np.uint64)
+    for body in (PBall(10, 1.25), PBall(8, 1.0), PBall(6, 2.0)):
+        _dispatch_sample(body, 3, idx)  # caches made on the first call live on
+        tracemalloc.start()
+        try:
+            out = _dispatch_sample(body, 3, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * out.nbytes, (body, peak / out.nbytes)
 
 
 def test_stderr_calibration(pball_variances, body_v_rb):
