@@ -78,9 +78,12 @@ _DECIMAL = re.compile(
 
 
 def _check_p(p) -> float:
-    """The one rule on an exponent: a number or decimal text ("1.5", "inf"),
-    in [1, inf]."""
+    """The one rule on an exponent: a number but a bool, or decimal text
+    ("1.5", "inf"), in [1, inf]."""
     try:
+        # a NumPy bool, told by its dtype without importing NumPy
+        if isinstance(p, bool) or getattr(getattr(p, "dtype", None), "kind", "") == "b":
+            raise TypeError(p)
         if isinstance(p, str) and not _DECIMAL.fullmatch(p):
             raise ValueError(p)
         v = float(p)

@@ -12,6 +12,8 @@ overflow for scalars, so the public entry points run under one errstate
 guard.
 """
 
+import re
+
 import numpy as np
 
 from .errors import DomainError
@@ -21,6 +23,8 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _SLOT_STRIDE = np.uint64(2**32)
 _INV53 = 1.0 / 9007199254740992.0  # 2^-53
+# the digits int reads, without its digit-group underscores ("1_5" is 15)
+_SEED = re.compile(r"0[xX][0-9a-fA-F]+|[0-9]+")
 
 
 def _fin(z):
@@ -71,10 +75,9 @@ def parse_seed(text) -> int:
         seed = int(text)
     else:
         s = str(text).strip()
-        try:
-            seed = int(s, 16) if s.lower().startswith("0x") else int(s, 10)
-        except ValueError:
+        if not _SEED.fullmatch(s):
             raise DomainError(f"seed must be decimal or 0x-hex text, got {text!r}")
+        seed = int(s, 16) if s.lower().startswith("0x") else int(s, 10)
     if not 0 <= seed < 2**64:
         raise DomainError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
     return seed

@@ -21,7 +21,9 @@ Streams are counter-based (see rng): pair i reads sample index 2i for u and
 slot, counter).  Results are therefore bit-identical however the work is
 batched.  The estimator draws its pairs in blocks of about 32,768 indices
 and keeps only each group's sums of u u^T and v v^T: memory is
-O(block * n + G * n^2), with no term in the sample count.
+O(block * n + G * n^2), with no term in the sample count.  One estimate
+reuses its block arrays (the Gamma rows and the points) from block to block
+(_BlockArrays), and keeps nothing after it returns.
 
 Every body type has an exact rule for its cone measure, an array kernel
 over the sample indices that returns u with g(u) = 1:
@@ -115,6 +117,48 @@ class MCEstimate:
     seed: int
 
 
+class _BlockArrays:
+    """The float arrays one estimate hands on from each block to the next.
+
+    A block gives back its Gamma rows and points where it is done with them,
+    and the next block takes them instead of fresh memory, whose pages the
+    system would map again.  A take is the smallest free array large enough.
+    A fresh one is sized for the largest block, every array here having one
+    axis of block rows, so blocks a few rows longer still fit.  Only arrays
+    that take lent come back: any other given array is left to its owner,
+    so the pool never holds more than its takes.  While keep is False a
+    given array is dropped, as with no pool.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows  # the largest block's rows
+        self.m = rows  # this block's rows
+        self.keep = False
+        self.free = []
+        self.lent = []
+
+    def take(self, shape):
+        """An uninitialized C-order float array of this shape, one of whose
+        axes is the block's m rows."""
+        size = math.prod(shape)
+        fits = [i for i, a in enumerate(self.free) if a.size >= size]
+        if fits:
+            buf = self.free.pop(min(fits, key=lambda i: self.free[i].size))
+        else:
+            buf = np.empty(size // max(self.m, 1) * self.rows)
+        self.lent.append(buf)
+        return buf[:size].reshape(shape)
+
+    def give(self, a):
+        """Hand back an array, or a view of one, that take lent and nothing uses."""
+        for i, buf in enumerate(self.lent):
+            if a.base is buf:
+                del self.lent[i]
+                if self.keep:
+                    self.free.append(buf)
+                return
+
+
 # ---------------------------------------------------------------------------
 # Gamma(1/p) draws
 # ---------------------------------------------------------------------------
@@ -130,7 +174,7 @@ def _rounds(lanes):
     return max(1, min(4096 // lanes, 64))
 
 
-def _gamma_gs(bases, p, slot, k):
+def _gamma_gs(bases, p, slot, k, pool=None):
     """(g, |g|^(1/p)) as (k, m) arrays: row j holds the Gamma(1/p) draws of slot slot + j.
 
     p = 1 is an exponential, p = 2 -ln(U0) cos^2(2 pi U1), each computed in
@@ -140,11 +184,13 @@ def _gamma_gs(bases, p, slot, k):
     later round, and the round that accepts it writes it last.  So the first
     round, whose lanes are the rows in order, writes with no gather.  Lanes
     still rejecting run _rounds(lanes) rounds at once and write only their
-    first accepted round r, read at counters (2r, 2r + 1).
+    first accepted round r, read at counters (2r, 2r + 1).  Both arrays come
+    from the pool.
     """
     m = bases.shape[0]
-    gs = np.empty((k, m))
-    mags = np.empty((k, m))
+    pool = pool or _BlockArrays(m)
+    gs = pool.take((k, m))
+    mags = pool.take((k, m))
     a = 1.0 / p
     b = 1.0 + a / math.e
     for j in range(k):
@@ -258,7 +304,7 @@ def _factors(body, slot):
     return out
 
 
-def _lp_rows(body, bases, slot):
+def _lp_rows(body, bases, slot, pool=None):
     """Cone-measure points of a x_p node, a product or a p-ball: the n-ary rule.
 
     Factor i's part is G_i^{1/p} u_i, and the point is the parts over their
@@ -266,10 +312,13 @@ def _lp_rows(body, bases, slot):
     largest radius.  G_i^{1/p} and (sum G)^{1/p} are p-th roots of the Gamma
     sums; where a sum underflows at huge p, the l_p norm of the magnitudes
     behind it, which never underflow, takes its place.  Coordinates are drawn
-    as contiguous rows and transposed once, by the final division.
+    as contiguous rows and transposed once, by the final division.  The rows,
+    the factors' points and the result are taken from the pool, and each
+    goes back to it once used.
     """
     p = float(body.p)
     m = bases.shape[0]
+    pool = pool or _BlockArrays(m)
     inf = math.isinf(p)
     total = np.zeros(m)  # sum G, or the largest radius at p = inf
     parts, norms = [], []  # (m, n_i) arrays, coordinates as transposed (n_i, m) rows
@@ -277,7 +326,7 @@ def _lp_rows(body, bases, slot):
         k = factor.dim
         coords = share is None
         if coords and inf:
-            rows = np.empty((k, m))
+            rows = pool.take((k, m))
             for j, w in enumerate(rows):
                 t = u01_v(bases, start + j, 0)
                 t *= 2.0
@@ -285,8 +334,9 @@ def _lp_rows(body, bases, slot):
                 np.maximum(total, np.abs(w, out=t), out=total)
             part = rows.T
         elif coords:
-            gs, mags = _gamma_gs(bases, p, start, k)
+            gs, mags = _gamma_gs(bases, p, start, k, pool)
             total += _row_sums(gs)
+            pool.give(gs)
             del gs
             for j, row in enumerate(mags):
                 np.copysign(row, u01_v(bases, start + k, j) - 0.5, out=row)
@@ -294,10 +344,10 @@ def _lp_rows(body, bases, slot):
             norms.append(part)
         elif inf:
             rad = u01_v(bases, share, 0) ** (1.0 / k)
-            part = _draw(factor, bases, start) * rad[:, None]
+            part = _factor_part(factor, bases, start, pool, rad[:, None])
             np.maximum(total, rad, out=total)
         else:
-            gs, mags = _gamma_gs(bases, p, share, k)
+            gs, mags = _gamma_gs(bases, p, share, k, pool)
             s = _row_sums(gs)
             total += s
             low = s < _TINY
@@ -305,20 +355,31 @@ def _lp_rows(body, bases, slot):
             if low.any():
                 s[low] = _pnorm_rows(mags.T[low], p)
             norms.append(s[:, None])
+            pool.give(gs)
+            pool.give(mags)
             del gs, mags  # free them before the factor's own draws
-            part = _draw(factor, bases, start) * norms[-1]
+            part = _factor_part(factor, bases, start, pool, norms[-1])
         parts.append(part)
     if not inf:
         low = total < _TINY
         total **= 1.0 / p
         if low.any():
             total[low] = _pnorm_rows(np.hstack([a[low] for a in norms]), p)
-    out = np.empty((m, body.dim))
+    out = pool.take((m, body.dim))
     col = 0
     for part in parts:
         np.divide(part, total[:, None], out=out[:, col : col + part.shape[1]])
         col += part.shape[1]
+        pool.give(part)
     return out
+
+
+def _factor_part(factor, bases, slot, pool, scale):
+    """A factor's points times its scale in the x_p point, the points given back."""
+    u = _draw(factor, bases, slot, pool)
+    part = u * scale
+    pool.give(u)
+    return part
 
 
 def _row_sums(gs):
@@ -403,25 +464,25 @@ def _sample_reject_indices(body, bases, slot):
     return out
 
 
-def _draw(body, bases, slot):
+def _draw(body, bases, slot, pool=None):
     """One cone-measure point u of the body per stream key, g(u) = 1, from
-    the node's slot block."""
+    the node's slot block.  The points are the caller's to give to the pool."""
     if isinstance(body, Interval):
         return np.where(u01_v(bases, slot, 0) < 0.5, -1.0, 1.0)[:, None]
     if isinstance(body, (PBall, Product)):
-        return _lp_rows(body, bases, slot)
+        return _lp_rows(body, bases, slot, pool)
     if isinstance(body, Simplex):
         return _simplex_rows(bases, body.dim, slot)
     if isinstance(body, LinearImage):
         return _draw(body.inner, bases, slot) @ body.matrix.T
     if body.profile.kind != "grid":
-        return _lp_rows(_named_product(body), bases, slot)
+        return _lp_rows(_named_product(body), bases, slot, pool)
     return _sample_reject_indices(body, bases, slot)
 
 
-def _dispatch_sample(resolved, seed, indices):
+def _dispatch_sample(resolved, seed, indices, pool=None):
     """The cone-measure points u drawn at these sample indices."""
-    return _draw(resolved, sample_bases_v(seed, indices), 0)
+    return _draw(resolved, sample_bases_v(seed, indices), 0, pool)
 
 
 def sample_body(body, side, count, seed, *, index_offset=0):
@@ -432,7 +493,8 @@ def sample_body(body, side, count, seed, *, index_offset=0):
     indices = np.arange(index_offset, index_offset + count, dtype=np.uint64)
     u = _dispatch_sample(resolved, seed, indices)
     v = u01_v(sample_bases_v(seed, indices), _slot_count(resolved), 0)
-    return u * (v ** (1.0 / resolved.dim))[:, None]
+    u *= (v ** (1.0 / resolved.dim))[:, None]
+    return u
 
 
 def sample_pball(dim, p, count, seed, *, index_offset=0):
@@ -504,16 +566,25 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
         cuts = [b * samples // blocks for b in range(blocks + 1)]
     sx = np.zeros((groups, n, n))
     sy = np.zeros((groups, n, n))
+    pool = _BlockArrays(max(np.diff(cuts)))
     for start, stop in zip(cuts[:-1], cuts[1:]):
+        pool.m = stop - start
         idx = np.arange(start, stop, dtype=np.uint64)
-        us = _dispatch_sample(primal, seed, 2 * idx)
-        vs = _dispatch_sample(polar, seed, 2 * idx + 1)
+        us = _dispatch_sample(primal, seed, 2 * idx, pool)
+        # the first draw frees its arrays as with no pool: glibc raises its
+        # mmap threshold on the first free of a large array, and with none
+        # freed every row-sized temporary would be mapped anew.  From then on
+        # every array goes back to the pool, unless the estimate is one block
+        pool.keep = blocks > 1
+        vs = _dispatch_sample(polar, seed, 2 * idx + 1, pool)
         for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
             rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
             # np.dot: less call overhead than @ on these small products
             sx[g] += np.dot(us[rows].T, us[rows])
             sy[g] += np.dot(vs[rows].T, vs[rows])
-        del us, vs  # free this block's draws before the next block's
+        pool.give(us)
+        pool.give(vs)
+        del us, vs
     mx = c * (sx.sum(axis=0) / samples)
     my = c * (sy.sum(axis=0) / samples)
     est = float(np.einsum("ij,ji->", mx, my))

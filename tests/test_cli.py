@@ -354,6 +354,15 @@ def test_bad_exponent_is_invalid_input(monkeypatch, capsys):
         assert err.startswith("error: invalid-input:") and len(err.strip().splitlines()) == 1
 
 
+def test_bad_seed_is_invalid_input(monkeypatch, capsys):
+    # plain decimal or 0x-hex digits: int alone would read "1_5" as 15
+    for seed in ("1_5", "0x1_0"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"type": "pball", "dim": 2, "p": 2}'))
+        assert cli.main(["phi", "mc", "--body", "-", "--samples", "10", "--seed", seed]) == 2, seed
+        err = capsys.readouterr().err
+        assert err == f"error: invalid-input: seed must be decimal or 0x-hex text, got '{seed}'\n"
+
+
 def _readme_commands():
     """(argv, stdin) for each `polarphi ...` command of the README's CLI block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -401,7 +401,8 @@ def test_log_volume_against_mpmath():
 
 def test_domain_errors():
     # one rule per input: n is a positive integer of any integer type but
-    # bool, and p a number or decimal text ("1.5", "inf"), in [1, inf]
+    # bool, and p a number but a bool, or decimal text ("1.5", "inf"), in
+    # [1, inf]
     for n in (0, True, np.True_, 3.5, np.float64(3.0), "3", None):
         with pytest.raises(DomainError):
             phi_pball(n, 2.0)
@@ -409,7 +410,8 @@ def test_domain_errors():
     for n in (np.int64(3), np.uint8(3)):
         assert phi_pball(n, 2.0) == phi_pball(3, 2.0), type(n)
     # float also reads digit-group underscores ("1_5" is 15) and non-ASCII digits
-    for p in (0.5, math.nan, "abc", None, [2.0], "nan", "0.5", "-inf", 10**400, "1_5", "1_000", "\uff13"):
+    for p in (0.5, math.nan, "abc", None, [2.0], "nan", "0.5", "-inf", 10**400, "1_5", "1_000", "\uff13",
+              True, np.True_):
         with pytest.raises(DomainError):
             phi_pball(3, p)
     assert phi_pball(3, "1.5") == phi_pball(3, 1.5) == phi_pball(3, "15e-1")

@@ -721,14 +721,16 @@ def test_blocked_estimate_matches_whole_array(monkeypatch):
 def test_estimate_memory_is_bounded():
     # nothing is kept per sample, only each group's n x n sums, so the peak
     # must not grow with the sample count; the bound still allows 8 bytes
-    # per extra sample
-    peaks = []
-    for blocks in (2, 8):
-        tracemalloc.start()
-        estimate_phi(PBall(3, 1.5), blocks * _BLOCK, 4)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.stop()
-    assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, peaks
+    # per extra sample.  The simplex and the interval factor draw arrays the
+    # block pool did not lend, which it must not keep from block to block
+    for body in (PBall(3, 1.5), Simplex(3), Product(2.0, Interval(), PBall(2, 1.0))):
+        peaks = []
+        for blocks in (2, 8):
+            tracemalloc.start()
+            estimate_phi(body, blocks * _BLOCK, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 8 * 6 * _BLOCK + 64 * 1024, (body, peaks)
 
 
 def test_one_block_transient_memory():
@@ -745,6 +747,67 @@ def test_one_block_transient_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * out.nbytes, (body, peak / out.nbytes)
+
+
+def test_many_blocks_keep_one_blocks_arrays(monkeypatch):
+    # 3 blocks of about 33,334 pairs hold at most 3.5 times the bytes of one
+    # block's points, both sides counted, as one block's draw does.  And the
+    # draws after the first allocate no array as large as a Gamma row set:
+    # the same draw into fresh arrays holds two row sets at once (the rows
+    # and magnitudes, or the rows and points at p = inf), so the peak rise of
+    # a draw into handed-on arrays must be at least 1.5 row sets lower
+    fresh = sampler._dispatch_sample
+    rises = []
+
+    def rise(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fresh(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+
+    def traced(resolved, seed, indices, pool=None):
+        alone = rise(resolved, seed, indices)[1] if rises else None
+        out, pooled = rise(resolved, seed, indices, pool)
+        rises.append((alone, pooled, indices.size * resolved.dim * 8))
+        return out
+
+    monkeypatch.setattr(sampler, "_dispatch_sample", traced)
+    for body in (PBall(10, 1.25), PBall(8, 1.0), PBall(6, 2.0)):
+        estimate_phi(body, 1000, 3)  # caches made on the first call live on
+        rises.clear()
+        tracemalloc.start()
+        try:
+            estimate_phi(body, 100_000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        points = 2 * 34_375 * body.dim * 8  # the largest block's, both sides
+        assert peak <= 3.5 * points, (body, peak / points)
+        assert len(rises) == 6, body
+        for alone, pooled, rows in rises[2:]:
+            assert pooled <= alone - 1.5 * rows, (body, alone / rows, pooled / rows)
+
+
+def test_blocks_reuse_arrays_bit_for_bit(monkeypatch):
+    # every draw after the first writes into arrays an earlier one handed
+    # on; the estimate must equal, bit for bit, the one whose draws each get
+    # fresh arrays, which it would not if an array were handed out while
+    # still in use (the points of one side overwritten by the other's rows)
+    monkeypatch.setattr(sampler, "_BLOCK", 1500)  # 5,000 pairs: 3 blocks of unequal size
+    bodies = [
+        PBall(10, 1.25),
+        PBall(8, math.inf),
+        Product(1.5, Product(math.inf, PBall(2, math.inf), PBall(2, 3.0)), Simplex(2)),
+        parse_body({"type": "revolution", "dim": 4, "profile": "pball:3"}),
+    ]
+    fresh = sampler._dispatch_sample
+    for body in bodies:
+        pooled = estimate_phi(body, 5000, 17)
+        monkeypatch.setattr(sampler, "_dispatch_sample", lambda r, s, i, pool=None: fresh(r, s, i))
+        alone = estimate_phi(body, 5000, 17)
+        monkeypatch.setattr(sampler, "_dispatch_sample", fresh)
+        assert pooled.estimate.hex() == alone.estimate.hex(), body
+        assert pooled.stderr.hex() == alone.stderr.hex(), body
 
 
 def test_stderr_calibration(pball_variances, body_v_rb):
@@ -871,10 +934,10 @@ def test_input_validation():
         estimate_phi(PBall(2, 2.0), 1, 5)
     with pytest.raises(DomainError):
         sample_body(PBall(2, 2.0), PRIMAL, 0, 5)
-    with pytest.raises(DomainError):
-        parse_seed("0xZZ")
-    with pytest.raises(DomainError):
-        parse_seed(str(2**64))
+    # int also reads digit-group underscores: "1_5" would be 15, "0x1_0" 16
+    for text in ("0xZZ", str(2**64), "1_5", "0x1_0"):
+        with pytest.raises(DomainError):
+            parse_seed(text)
     assert parse_seed("0x10") == 16 == parse_seed("16")
 
 
