@@ -299,12 +299,8 @@ def _pnorm_rows(pts: np.ndarray, p: float) -> np.ndarray:
     m = a.max(axis=1)
     if math.isinf(p):
         return m
-    out = np.zeros_like(m)
-    pos = m > 0.0
-    if np.any(pos):
-        ratios = a[pos] / m[pos, None]
-        out[pos] = m[pos] * np.power(ratios, p).sum(axis=1) ** (1.0 / p)
-    return out
+    ratios = a / np.where(m > 0.0, m, 1.0)[:, None]  # a zero row stays 0
+    return m * np.power(ratios, p).sum(axis=1) ** (1.0 / p)
 
 
 def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
@@ -326,25 +322,34 @@ def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
     return out
 
 
+def _points(pts, dim) -> np.ndarray:
+    """The points as an (m, dim) float array of finite coordinates."""
+    pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise DomainError(f"points must be (m, {dim}), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must have finite coordinates")
+    return pts
+
+
 def gauge_batch(spec, pts: np.ndarray) -> np.ndarray:
     """Row-wise gauge (Minkowski functional) of the primal body."""
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != spec.dim:
-        raise DomainError(
-            f"points must be (m, {spec.dim}), got shape {pts.shape}"
-        )
+    return _gauge(spec, _points(pts, spec.dim))
+
+
+def _gauge(spec, pts):
     if isinstance(spec, Interval):
         return np.abs(pts[:, 0])
     if isinstance(spec, PBall):
         return _pnorm_rows(pts, spec.p)
     if isinstance(spec, Product):
         nl = spec.left.dim
-        parts = (gauge_batch(spec.left, pts[:, :nl]), gauge_batch(spec.right, pts[:, nl:]))
+        parts = (_gauge(spec.left, pts[:, :nl]), _gauge(spec.right, pts[:, nl:]))
         return _pnorm_rows(np.column_stack(parts), spec.p)
     if isinstance(spec, Revolution):
         return _revolution_gauge(spec, pts)
     if isinstance(spec, LinearImage):
-        return gauge_batch(spec.inner, pts @ spec.inverse.T)
+        return _gauge(spec.inner, pts @ spec.inverse.T)
     if isinstance(spec, Simplex):
         # facet form: K = {x : <x, -n v_j> <= 1 for every vertex}
         scale = -spec.dim * _simplex_facet_scale(spec.dim)
@@ -384,9 +389,7 @@ def resolve_side(spec, side: str) -> object:
 def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
     """Boolean row-wise membership; boundary points count as inside."""
     body = resolve_side(spec, side)
-    pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != body.dim:
-        raise DomainError(f"points must be (m, {body.dim}), got shape {pts.shape}")
+    pts = _points(pts, body.dim)
     if isinstance(body, Revolution):
         # direct section test: cheaper than the gauge, and exact
         t = pts[:, 0]
@@ -394,7 +397,7 @@ def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
         inside_axis = np.abs(t) <= 1.0
         r = body.profile.values(np.clip(t, -1.0, 1.0))
         return inside_axis & (rho <= r)
-    return gauge_batch(body, pts) <= 1.0
+    return _gauge(body, pts) <= 1.0
 
 
 def membership(spec, side: str, point) -> bool:

@@ -34,10 +34,12 @@ import functools
 import importlib
 import json
 import math
+import re
 import sys
 
 from .errors import DomainError, VerificationError
 from .exact import (
+    _DECIMAL,
     _check_p,
     _normal_exp,
     _p_to_json,
@@ -91,6 +93,21 @@ TOL_DUALITY = 1e-12  # phi(B_p^n) against phi(B_q^n)
 # and slacks at least minus these
 TOL_SANTALO = 1e-10  # |B_2^n|^2 - |K| |K°|
 TOL_CHAIN = 1e-10  # phi - the isotropy-chain bound
+
+
+def _matching(pattern, convert):
+    """An argparse type: convert only text the pattern matches whole, since int
+    and float alone read digit-group underscores ("1_0") and non-ASCII digits."""
+
+    def read(text):
+        return convert(pattern.fullmatch(text)[0])  # no match: TypeError, invalid input
+
+    read.__name__ = convert.__name__  # argparse's message: "invalid int value"
+    return read
+
+
+_INT = _matching(re.compile("[0-9]+"), int)
+_FLOAT = _matching(_DECIMAL, float)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,8 +183,6 @@ def _cmd_phi_mc(args):
     body = parse_body(text)
     if body.dim > 200:
         raise DomainError(f"Monte Carlo supports dim <= 200, got {body.dim}")
-    if args.samples < 2:
-        raise DomainError(f"--samples must be >= 2, got {args.samples}")
     seed = parse_seed(args.seed)
     est = estimate_phi(body, args.samples, seed)
     rec = {
@@ -193,16 +208,8 @@ def _cmd_scan(args):
     grid = [s for s in args.grid.split(",") if s.strip()] if args.grid else None
     report = scan_p_argmax(args.dim, grid)
     phi2 = report.extras["phi_at_2"]
-    records = []
-    for p, v in zip(report.grid, report.values):
-        records.append(
-            {
-                "dim": args.dim,
-                "p": _p_to_json(p),
-                "phi": v,
-                "margin": v - phi2,
-            }
-        )
+    records = [{"dim": args.dim, "p": _p_to_json(p), "phi": v, "margin": v - phi2}
+               for p, v in zip(report.grid, report.values)]
     print(
         f"scan dim={args.dim}: argmax p={report.extras['argmax_p']:g} "
         f"phi(2)={phi2:.17g} worst margin={report.max_residual:.3e} "
@@ -352,25 +359,25 @@ def build_parser() -> _Parser:
     phisub = phi.add_subparsers(dest="mode", required=True)
 
     exact = phisub.add_parser("exact", help="closed-form evaluation for p-balls")
-    exact.add_argument("--dim", type=int, required=True)
+    exact.add_argument("--dim", type=_INT, required=True)
     exact.add_argument("--p", required=True)
     exact.add_argument("--method", choices=("f", "moments"), default="f")
     exact.set_defaults(func=_cmd_phi_exact)
 
     mc = phisub.add_parser("mc", help="Monte Carlo estimate for a described body")
     mc.add_argument("--body", required=True, help="JSON body file, or - for stdin")
-    mc.add_argument("--samples", type=int, required=True)
+    mc.add_argument("--samples", type=_INT, required=True)
     mc.add_argument("--seed", required=True, help="decimal or 0x-hex 64-bit seed")
     mc.set_defaults(func=_cmd_phi_mc)
 
     feval = sub.add_parser("f-eval", help="evaluate the decomposition factor")
-    feval.add_argument("--y1", type=float, required=True)
-    feval.add_argument("--y2", type=float, required=True)
+    feval.add_argument("--y1", type=_FLOAT, required=True)
+    feval.add_argument("--y2", type=_FLOAT, required=True)
     feval.add_argument("--p", required=True)
     feval.set_defaults(func=_cmd_f_eval)
 
     scan = sub.add_parser("scan", help="phi over a p-grid; maximum must sit at p = 2")
-    scan.add_argument("--dim", type=int, required=True)
+    scan.add_argument("--dim", type=_INT, required=True)
     scan.add_argument("--grid", help="comma-separated p values (must include 1, 2, inf)")
     scan.set_defaults(func=_cmd_scan)
 
@@ -386,7 +393,7 @@ def build_parser() -> _Parser:
 
     rev = sub.add_parser("revolution", help="phi decomposition for a revolution body")
     rev.add_argument("--profile", required=True, help='ball|cylinder|cone|pball:P|{"grid": ...}')
-    rev.add_argument("--dim", type=int, required=True)
+    rev.add_argument("--dim", type=_INT, required=True)
     rev.add_argument("--diagnostics", action="store_true")
     rev.set_defaults(func=_cmd_revolution)
 

@@ -99,18 +99,18 @@ def _p_to_json(p: float):
     return "inf" if math.isinf(p) else float(p)
 
 
-def _check_dim(n, cap=math.inf) -> int:
-    """A dimension: an integer of any integer type but bool, in [1, cap]."""
+def _check_dim(n, cap=math.inf, *, low=1, what="dimension") -> int:
+    """A dimension, or the count what names: any integer type but bool, in [low, cap]."""
     try:
         if isinstance(n, bool):
             raise TypeError(n)
         n = operator.index(n)
     except TypeError:
-        raise DomainError(f"dimension must be a positive integer, got {n!r}")
-    if n < 1:
-        raise DomainError(f"dimension must be >= 1, got {n}")
+        raise DomainError(f"{what} must be an integer, got {n!r}")
+    if n < low:
+        raise DomainError(f"{what} must be >= {low}, got {n}")
     if n > cap:
-        raise DomainError(f"dimension must be <= {cap}, got {n}")
+        raise DomainError(f"{what} must be <= {cap}, got {n}")
     return n
 
 

@@ -19,11 +19,11 @@ is an honest confidence interval.
 Streams are counter-based (see rng): pair i reads sample index 2i for u and
 2i + 1 for v, and every uniform is a pure function of (seed, sample index,
 slot, counter).  Results are therefore bit-identical however the work is
-batched.  The estimator draws its pairs in blocks of about 32,768 indices
-and keeps only each group's sums of u u^T and v v^T: memory is
-O(block * n + G * n^2), with no term in the sample count.  One estimate
-reuses its block arrays (the Gamma rows and the points) from block to block
-(_BlockArrays), and keeps nothing after it returns.
+batched.  The estimator draws its pairs in blocks of about 32,768 indices,
+one side at a time, and keeps only each group's sums of u u^T and v v^T:
+memory is O(block * n + G * n^2), with no term in the sample count.  Every
+rule takes its arrays from the block pool (_BlockArrays), so one estimate
+reuses them from block to block and keeps nothing after it returns.
 
 Every body type has an exact rule for its cone measure, an array kernel
 over the sample indices that returns u with g(u) = 1:
@@ -70,18 +70,10 @@ a node at slot s in dimension n:
                                      every grid slot reads counter 0
 
 Gamma(1/p) is -ln U at p = 1 and -ln(U0) cos^2(2 pi U1) at p = 2 (Exp(1)
-times Beta(1/2, 1/2), as in Box-Muller), with no rejection.  At other p the
-GS kernel is vectorized over samples.  Each coordinate's draws fill one
-contiguous row, and its rounds run on the lanes (one sample's draw for that
-coordinate) still rejecting.  A round of one candidate per lane writes every
-candidate straight to its lane, accepted or not: a rejected lane is written
-again by the round that later accepts it, which is the last to write it.
-Once few lanes remain, they run several rounds at once and write only their
-first accepted one, so a coordinate's tail costs a few array calls.  Each
-branch of a round is evaluated only on the candidates it applies to.  A
-lane's round k reads counters (2k, 2k + 1) of its own slot whatever the
-other lanes do.  The rows are transposed to the samples' (m, n) points once,
-by the final division of the x_p rule.
+times Beta(1/2, 1/2), as in Box-Muller), and GS rejection vectorized over
+samples at other p (_gamma_gs): each coordinate's draws fill one contiguous
+row, and a lane's round k reads counters (2k, 2k + 1) of its own slot
+whatever the other lanes do.
 """
 
 import bisect
@@ -103,8 +95,8 @@ from .bodies import (
     polar_body,
     resolve_side,
 )
-from .errors import DomainError
-from .rng import sample_bases_v, u01_v
+from .exact import _check_dim
+from .rng import parse_seed, sample_bases_v, u01_v
 
 _TINY = np.finfo(np.float64).tiny
 
@@ -118,15 +110,13 @@ class MCEstimate:
 
 
 class _BlockArrays:
-    """The float arrays one estimate hands on from each block to the next.
+    """The float arrays one estimate hands on from each draw to the next.
 
-    A block gives back its Gamma rows and points where it is done with them,
-    and the next block takes them instead of fresh memory, whose pages the
-    system would map again.  A take is the smallest free array large enough.
-    A fresh one is sized for the largest block, every array here having one
-    axis of block rows, so blocks a few rows longer still fit.  Only arrays
-    that take lent come back: any other given array is left to its owner,
-    so the pool never holds more than its takes.  While keep is False a
+    Every rule takes its arrays here (Gamma rows, weights, points) and gives
+    each back once done with it, so the next draw reuses them instead of
+    fresh memory, whose pages the system would map again.  A take is the
+    smallest free array large enough; a fresh one is sized for the largest
+    block, so blocks a few rows longer still fit.  While keep is False a
     given array is dropped, as with no pool.
     """
 
@@ -135,7 +125,6 @@ class _BlockArrays:
         self.m = rows  # this block's rows
         self.keep = False
         self.free = []
-        self.lent = []
 
     def take(self, shape):
         """An uninitialized C-order float array of this shape, one of whose
@@ -146,17 +135,12 @@ class _BlockArrays:
             buf = self.free.pop(min(fits, key=lambda i: self.free[i].size))
         else:
             buf = np.empty(size // max(self.m, 1) * self.rows)
-        self.lent.append(buf)
         return buf[:size].reshape(shape)
 
     def give(self, a):
-        """Hand back an array, or a view of one, that take lent and nothing uses."""
-        for i, buf in enumerate(self.lent):
-            if a.base is buf:
-                del self.lent[i]
-                if self.keep:
-                    self.free.append(buf)
-                return
+        """Hand back a view that take lent and nothing uses."""
+        if self.keep:
+            self.free.append(a.base)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +158,7 @@ def _rounds(lanes):
     return max(1, min(4096 // lanes, 64))
 
 
-def _gamma_gs(bases, p, slot, k, pool=None):
+def _gamma_gs(bases, p, slot, k, pool):
     """(g, |g|^(1/p)) as (k, m) arrays: row j holds the Gamma(1/p) draws of slot slot + j.
 
     p = 1 is an exponential, p = 2 -ln(U0) cos^2(2 pi U1), each computed in
@@ -188,7 +172,6 @@ def _gamma_gs(bases, p, slot, k, pool=None):
     from the pool.
     """
     m = bases.shape[0]
-    pool = pool or _BlockArrays(m)
     gs = pool.take((k, m))
     mags = pool.take((k, m))
     a = 1.0 / p
@@ -304,7 +287,7 @@ def _factors(body, slot):
     return out
 
 
-def _lp_rows(body, bases, slot, pool=None):
+def _lp_rows(body, bases, slot, pool):
     """Cone-measure points of a x_p node, a product or a p-ball: the n-ary rule.
 
     Factor i's part is G_i^{1/p} u_i, and the point is the parts over their
@@ -318,7 +301,6 @@ def _lp_rows(body, bases, slot, pool=None):
     """
     p = float(body.p)
     m = bases.shape[0]
-    pool = pool or _BlockArrays(m)
     inf = math.isinf(p)
     total = np.zeros(m)  # sum G, or the largest radius at p = inf
     parts, norms = [], []  # (m, n_i) arrays, coordinates as transposed (n_i, m) rows
@@ -344,7 +326,8 @@ def _lp_rows(body, bases, slot, pool=None):
             norms.append(part)
         elif inf:
             rad = u01_v(bases, share, 0) ** (1.0 / k)
-            part = _factor_part(factor, bases, start, pool, rad[:, None])
+            part = _draw(factor, bases, start, pool)
+            part *= rad[:, None]
             np.maximum(total, rad, out=total)
         else:
             gs, mags = _gamma_gs(bases, p, share, k, pool)
@@ -358,7 +341,8 @@ def _lp_rows(body, bases, slot, pool=None):
             pool.give(gs)
             pool.give(mags)
             del gs, mags  # free them before the factor's own draws
-            part = _factor_part(factor, bases, start, pool, norms[-1])
+            part = _draw(factor, bases, start, pool)
+            part *= norms[-1]
         parts.append(part)
     if not inf:
         low = total < _TINY
@@ -372,14 +356,6 @@ def _lp_rows(body, bases, slot, pool=None):
         col += part.shape[1]
         pool.give(part)
     return out
-
-
-def _factor_part(factor, bases, slot, pool, scale):
-    """A factor's points times its scale in the x_p point, the points given back."""
-    u = _draw(factor, bases, slot, pool)
-    part = u * scale
-    pool.give(u)
-    return part
 
 
 def _row_sums(gs):
@@ -398,26 +374,29 @@ def _row_sums(gs):
     return out
 
 
-def _simplex_rows(bases, n, slot):
+def _simplex_rows(bases, n, slot, pool):
     """The facet opposite the smallest of n + 1 exponentials w, with the
     weights (w - min w) / sum(w - min w) on the vertices (the other n of them
     Dirichlet(1, ..., 1), by the memorylessness of the exponential)."""
-    # before the large temporaries: the first call caches arrays that live on,
-    # and allocated after those temporaries they would keep the heap from shrinking
+    # before the large arrays: the first call caches arrays that live on, and
+    # allocated after those arrays they would keep the heap from shrinking
     verts = _simplex_vertices(n)
-    w = np.empty((bases.shape[0], n + 1))
+    m = bases.shape[0]
+    w = pool.take((m, n + 1))
     for j in range(n + 1):
         w[:, j] = u01_v(bases, slot + j, 0)
-    w = -np.log(w)
+    np.negative(np.log(w, out=w), out=w)
     low = w[:, 0].copy()
     for j in range(1, n + 1):  # column by column: w.min(axis=1) is 8x slower
         np.minimum(low, w[:, j], out=low)
     w -= low[:, None]
     w /= w.sum(axis=1)[:, None]
-    return w @ verts
+    out = np.matmul(w, verts, out=pool.take((m, n)))
+    pool.give(w)
+    return out
 
 
-def _sample_reject_indices(body, bases, slot):
+def _sample_reject_indices(body, bases, slot, pool):
     """Grid revolution by its cone measure, O(n) per sample, every slot at counter 0.
 
     Nothing is rejected: the name is kept because the benchmark's trace hooks
@@ -450,7 +429,7 @@ def _sample_reject_indices(body, bases, slot):
     seg = np.searchsorted(cum, u01_v(bases, slot, 0), side="right") - 1
     g = u01_v(bases, slot + 1, 0)
     s = np.divide(-np.expm1(np.log1p(g * c[seg]) / (n - 1)), d[seg], out=g, where=d[seg] > 0.0)
-    out = np.empty((bases.shape[0], n))
+    out = pool.take((bases.shape[0], n))
     out[:, 0] = t_hi[seg] + s * step[seg]
     rho = hi[seg] * (1.0 - s * d[seg])
     z = out[:, 1:]
@@ -460,24 +439,32 @@ def _sample_reject_indices(body, bases, slot):
         z[:, 2 * i] = mag * np.cos(ang)
         if 2 * i + 1 < n - 1:
             z[:, 2 * i + 1] = mag * np.sin(ang)
-    z *= (rho / np.linalg.norm(z, axis=1))[:, None]
+    sq = np.square(z, out=pool.take(z.shape))  # np.linalg.norm's squares, in the pool
+    z *= (rho / np.sqrt(sq.sum(axis=1)))[:, None]
+    pool.give(sq)
     return out
 
 
 def _draw(body, bases, slot, pool=None):
     """One cone-measure point u of the body per stream key, g(u) = 1, from
-    the node's slot block.  The points are the caller's to give to the pool."""
+    the node's slot block, in an array taken from the pool (a pool of its
+    own when none is given).  The points are the caller's to give back."""
+    m = bases.shape[0]
+    pool = pool or _BlockArrays(m)
     if isinstance(body, Interval):
-        return np.where(u01_v(bases, slot, 0) < 0.5, -1.0, 1.0)[:, None]
+        return np.copysign(1.0, u01_v(bases, slot, 0)[:, None] - 0.5, out=pool.take((m, 1)))
     if isinstance(body, (PBall, Product)):
         return _lp_rows(body, bases, slot, pool)
     if isinstance(body, Simplex):
-        return _simplex_rows(bases, body.dim, slot)
+        return _simplex_rows(bases, body.dim, slot, pool)
     if isinstance(body, LinearImage):
-        return _draw(body.inner, bases, slot) @ body.matrix.T
+        u = _draw(body.inner, bases, slot, pool)
+        out = np.matmul(u, body.matrix.T, out=pool.take((m, body.dim)))
+        pool.give(u)
+        return out
     if body.profile.kind != "grid":
         return _lp_rows(_named_product(body), bases, slot, pool)
-    return _sample_reject_indices(body, bases, slot)
+    return _sample_reject_indices(body, bases, slot, pool)
 
 
 def _dispatch_sample(resolved, seed, indices, pool=None):
@@ -487,8 +474,9 @@ def _dispatch_sample(resolved, seed, indices, pool=None):
 
 def sample_body(body, side, count, seed, *, index_offset=0):
     """count uniform points in the requested side of the body: u V^{1/n}."""
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _check_dim(count, what="count")
+    index_offset = _check_dim(index_offset, 2**64 - count, low=0, what="index_offset")
+    seed = parse_seed(seed)
     resolved = resolve_side(body, side)
     indices = np.arange(index_offset, index_offset + count, dtype=np.uint64)
     u = _dispatch_sample(resolved, seed, indices)
@@ -544,15 +532,15 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     group's sums of u u^T and v v^T are kept.  The stderr comes from the two
     Hoeffding projections: with group means Sbar^g, w_g = tr(Sbar_x^g S_y)
     + tr(S_x Sbar_y^g), and stderr = sqrt(sum_g (w_g - wbar)^2 / (G(G-1))).
-    Pairs are drawn in blocks of about _BLOCK = 32,768 indices, so memory is
-    O(block * n + G * n^2) with no term in M.  While there are at most G
-    blocks (round(M / _BLOCK) <= 64, so M below about 2.1 million), each
-    block is made of whole groups, and the result is bit-identical to
-    summing each group over all its draws at once.  Past that, a group's
-    sums add up over several blocks and agree with those only to rounding.
+    Pairs are drawn in blocks of about _BLOCK = 32,768 indices, one side at
+    a time.  While there are at most G blocks (round(M / _BLOCK) <= 64, so M
+    below about 2.1 million), each block is made of whole groups, and the
+    result is bit-identical to summing each group over all its draws at
+    once.  Past that, a group's sums add up over several blocks and agree
+    with those only to rounding.
     """
-    if samples < 2:
-        raise DomainError(f"need at least 2 samples, got {samples}")
+    samples = _check_dim(samples, low=2, what="samples")
+    seed = parse_seed(seed)
     primal = _core(resolve_side(body, PRIMAL))
     polar = polar_body(primal)
     n = primal.dim
@@ -570,25 +558,23 @@ def estimate_phi(body, samples, seed) -> MCEstimate:
     for start, stop in zip(cuts[:-1], cuts[1:]):
         pool.m = stop - start
         idx = np.arange(start, stop, dtype=np.uint64)
-        us = _dispatch_sample(primal, seed, 2 * idx, pool)
-        # the first draw frees its arrays as with no pool: glibc raises its
-        # mmap threshold on the first free of a large array, and with none
-        # freed every row-sized temporary would be mapped anew.  From then on
-        # every array goes back to the pool, unless the estimate is one block
-        pool.keep = blocks > 1
-        vs = _dispatch_sample(polar, seed, 2 * idx + 1, pool)
-        for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
-            rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
-            # np.dot: less call overhead than @ on these small products
-            sx[g] += np.dot(us[rows].T, us[rows])
-            sy[g] += np.dot(vs[rows].T, vs[rows])
-        pool.give(us)
-        pool.give(vs)
-        del us, vs
+        for side, sums, parity in ((primal, sx, 0), (polar, sy, 1)):
+            pts = _dispatch_sample(side, seed, 2 * idx + parity, pool)
+            for g in range(bisect.bisect_right(edges, start) - 1, bisect.bisect_left(edges, stop)):
+                rows = slice(max(edges[g], start) - start, min(edges[g + 1], stop) - start)
+                # np.dot: less call overhead than @ on these small products
+                sums[g] += np.dot(pts[rows].T, pts[rows])
+            pool.give(pts)
+            del pts
+            # the first draw frees its arrays as with no pool: glibc raises its
+            # mmap threshold on the first free of a large array, and with none
+            # freed every row-sized temporary would be mapped anew.  From then
+            # on every array goes back to the pool, unless the estimate is one block
+            pool.keep = blocks > 1
     mx = c * (sx.sum(axis=0) / samples)
     my = c * (sy.sum(axis=0) / samples)
     est = float(np.einsum("ij,ji->", mx, my))
     # w_g = tr(Sbar_x^g S_y) + tr(S_x Sbar_y^g), the group mean taken last
     w = (np.einsum("gij,ji->g", sx, my) + np.einsum("ij,gji->g", mx, sy)) * c / np.diff(edges)
     stderr = float(np.sqrt(np.sum((w - w.mean()) ** 2) / (groups * (groups - 1))))
-    return MCEstimate(estimate=est, stderr=stderr, samples=int(samples), seed=int(seed))
+    return MCEstimate(estimate=est, stderr=stderr, samples=samples, seed=seed)

@@ -289,6 +289,25 @@ def test_membership_dimension_check():
         membership_batch(PBall(2, 2.0), "dual", np.zeros((1, 2)))
 
 
+def test_non_finite_points_are_invalid():
+    # a NaN row has no l_p norm: _pnorm_rows would read its NaN maximum as 0
+    # and call [nan, 0] inside every ball, while [inf, 0] divided inf by inf
+    for body in (parse_body(doc) for doc in DOCS):
+        for bad in (math.nan, math.inf, -math.inf):
+            for j in range(body.dim):
+                point = np.full(body.dim, 0.1 / body.dim)
+                point[j] = bad
+                for side in (PRIMAL, POLAR):
+                    with pytest.raises(DomainError):
+                        membership(body, side, point)
+                    with pytest.raises(DomainError):
+                        membership_batch(body, side, np.vstack([np.zeros(body.dim), point]))
+                with pytest.raises(DomainError):
+                    gauge_batch(body, point[None, :])
+                with pytest.raises(DomainError):
+                    gauge_batch(polar_body(body), point[None, :])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(min_value=1.0, max_value=50.0),

@@ -363,6 +363,31 @@ def test_bad_seed_is_invalid_input(monkeypatch, capsys):
         assert err == f"error: invalid-input: seed must be decimal or 0x-hex text, got '{seed}'\n"
 
 
+def test_bad_count_or_coordinate_is_invalid_input(monkeypatch, capsys):
+    # plain ASCII digits for --dim and --samples, and the decimal text of
+    # --p for --y1 and --y2: int and float alone read "1_0" as 10 and "٣"
+    # (Arabic-Indic three) as 3
+    for argv in (
+        ["phi", "exact", "--dim", "1_0", "--p", "2"],
+        ["phi", "exact", "--dim", "٣", "--p", "2"],
+        ["scan", "--dim", "1_0"],
+        ["revolution", "--profile", "ball", "--dim", "1_0"],
+        ["phi", "mc", "--body", "-", "--samples", "1_0", "--seed", "1"],
+        ["phi", "mc", "--body", "-", "--samples", "١٠", "--seed", "1"],
+        ["f-eval", "--y1", "1_0", "--y2", "2", "--p", "2"],
+        ["f-eval", "--y1", "1", "--y2", "2_0", "--p", "2"],
+        ["f-eval", "--y1", "١", "--y2", "2", "--p", "2"],
+    ):
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"type": "pball", "dim": 2, "p": 2}'))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid-input:") and len(err.strip().splitlines()) == 1, argv
+    assert cli.main(["f-eval", "--y1", " 1e0", "--y2", "2.", "--p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["value"] == pytest.approx(9.0 / 16.0, rel=1e-12)
+
+
 def _readme_commands():
     """(argv, stdin) for each `polarphi ...` command of the README's CLI block."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -325,7 +325,7 @@ def test_gs_rows_match_the_column_kernel_bit_for_bit():
         for p in (1.0, 1.1, 1.25, 1.5, 2.0, 3.0, 50.0, 1e6):
             for k in (1, 4, 10):
                 ref_g, ref_mag = _gamma_gs_columns(bases, p, 3, k)
-                g, mag = sampler._gamma_gs(bases, p, 3, k)
+                g, mag = sampler._gamma_gs(bases, p, 3, k, sampler._BlockArrays(m))
                 assert g.shape == mag.shape == (k, m), (m, p, k)
                 assert np.array_equal(bits(g.T), bits(ref_g)), (m, p, k)
                 assert np.array_equal(bits(mag.T), bits(ref_mag)), (m, p, k)
@@ -721,8 +721,9 @@ def test_blocked_estimate_matches_whole_array(monkeypatch):
 def test_estimate_memory_is_bounded():
     # nothing is kept per sample, only each group's n x n sums, so the peak
     # must not grow with the sample count; the bound still allows 8 bytes
-    # per extra sample.  The simplex and the interval factor draw arrays the
-    # block pool did not lend, which it must not keep from block to block
+    # per extra sample.  The block pool holds only the arrays one draw takes
+    # (a simplex's weights and points, an interval factor's signs), so it
+    # must not grow from block to block either
     for body in (PBall(3, 1.5), Simplex(3), Product(2.0, Interval(), PBall(2, 1.0))):
         peaks = []
         for blocks in (2, 8):
@@ -752,10 +753,11 @@ def test_one_block_transient_memory():
 def test_many_blocks_keep_one_blocks_arrays(monkeypatch):
     # 3 blocks of about 33,334 pairs hold at most 3.5 times the bytes of one
     # block's points, both sides counted, as one block's draw does.  And the
-    # draws after the first allocate no array as large as a Gamma row set:
-    # the same draw into fresh arrays holds two row sets at once (the rows
-    # and magnitudes, or the rows and points at p = inf), so the peak rise of
-    # a draw into handed-on arrays must be at least 1.5 row sets lower
+    # draws after the first allocate no array as large as their points: the
+    # same draw into fresh arrays holds two such arrays at once (the Gamma
+    # rows and magnitudes, the rows and points at p = inf, a simplex's
+    # weights and points), so the peak rise of a draw into handed-on arrays
+    # must be at least 1.5 points arrays lower
     fresh = sampler._dispatch_sample
     rises = []
 
@@ -772,7 +774,7 @@ def test_many_blocks_keep_one_blocks_arrays(monkeypatch):
         return out
 
     monkeypatch.setattr(sampler, "_dispatch_sample", traced)
-    for body in (PBall(10, 1.25), PBall(8, 1.0), PBall(6, 2.0)):
+    for body in (PBall(10, 1.25), PBall(8, 1.0), PBall(6, 2.0), Simplex(5)):
         estimate_phi(body, 1000, 3)  # caches made on the first call live on
         rises.clear()
         tracemalloc.start()
@@ -799,6 +801,9 @@ def test_blocks_reuse_arrays_bit_for_bit(monkeypatch):
         PBall(8, math.inf),
         Product(1.5, Product(math.inf, PBall(2, math.inf), PBall(2, 3.0)), Simplex(2)),
         parse_body({"type": "revolution", "dim": 4, "profile": "pball:3"}),
+        Simplex(5),
+        parse_body({"type": "revolution", "dim": 6, "profile": README_GRID}),
+        Product(1.5, PBall(2, 3.0), Interval()),
     ]
     fresh = sampler._dispatch_sample
     for body in bodies:
@@ -808,6 +813,45 @@ def test_blocks_reuse_arrays_bit_for_bit(monkeypatch):
         monkeypatch.setattr(sampler, "_dispatch_sample", fresh)
         assert pooled.estimate.hex() == alone.estimate.hex(), body
         assert pooled.stderr.hex() == alone.stderr.hex(), body
+
+
+def test_every_rule_draws_into_the_pool():
+    # every rule returns its points in a view of an array the block pool
+    # lent, and gives back only such views, so the pool needs no record of
+    # what it lent; both sides of every body type, the polar simplex being a
+    # linear image
+    lent = []
+
+    class Recording(sampler._BlockArrays):
+        def take(self, shape):
+            out = super().take(shape)
+            lent.append(out.base)
+            return out
+
+        def give(self, a):
+            assert any(a.base is buf for buf in lent)
+            super().give(a)
+
+    bases = sample_bases_v(8, np.arange(300, dtype=np.uint64))
+    bodies = [
+        Interval(),
+        PBall(3, 1.5),
+        PBall(3, math.inf),
+        Simplex(3),
+        make_linear_image(np.array([[2.0, 1.0], [0.0, 1.0]]), PBall(2, 2.0)),
+        Product(2.0, Interval(), Simplex(2)),
+        Product(math.inf, Interval(), PBall(2, 3.0)),
+        parse_body({"type": "revolution", "dim": 4, "profile": "cone"}),
+        parse_body({"type": "revolution", "dim": 4, "profile": README_GRID}),
+    ]
+    for body in bodies:
+        for side in (PRIMAL, POLAR):
+            lent.clear()
+            pool = Recording(300)
+            pool.keep = True
+            u = sampler._draw(resolve_side(body, side), bases, 0, pool)
+            assert any(u.base is buf for buf in lent), (body, side)
+            assert not any(u.base is buf for buf in pool.free), (body, side)
 
 
 def test_stderr_calibration(pball_variances, body_v_rb):
@@ -934,6 +978,29 @@ def test_input_validation():
         estimate_phi(PBall(2, 2.0), 1, 5)
     with pytest.raises(DomainError):
         sample_body(PBall(2, 2.0), PRIMAL, 0, 5)
+    # counts take any integer type but bool, and the seed parse_seed's rule:
+    # a float count was rounded up or rejected by NumPy, a bool count read
+    # as 1, a float seed truncated, and out-of-range seeds and offsets
+    # raised OverflowError
+    body = PBall(2, 2.0)
+    for call in (
+        lambda: estimate_phi(body, 100.0, 1),
+        lambda: estimate_phi(body, True, 1),
+        lambda: estimate_phi(body, 100, -1),
+        lambda: estimate_phi(body, 100, 2**64),
+        lambda: estimate_phi(body, 100, 1.5),
+        lambda: sample_body(body, PRIMAL, 2.5, 1),
+        lambda: sample_body(body, PRIMAL, True, 1),
+        lambda: sample_body(body, PRIMAL, 2, 1.5),
+        lambda: sample_body(body, PRIMAL, 2, 1, index_offset=-1),
+        lambda: sample_body(body, PRIMAL, 2, 1, index_offset=2**64 - 1),
+        lambda: sample_body(body, PRIMAL, 2, 1, index_offset=1.0),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert estimate_phi(body, np.int64(100), "0x10") == estimate_phi(body, 100, 16)
+    assert np.array_equal(sample_body(body, PRIMAL, np.uint8(2), 1, index_offset=2**64 - 2),
+                          sample_body(body, PRIMAL, 3, 1, index_offset=2**64 - 3)[1:])
     # int also reads digit-group underscores: "1_5" would be 15, "0x1_0" 16
     for text in ("0xZZ", str(2**64), "1_5", "0x1_0"):
         with pytest.raises(DomainError):
