@@ -7,7 +7,7 @@ For a symmetric convex body K with polar K deg, the library evaluates
 by three independent routes -- a closed-form recursion for p-balls, exact
 1-D moments for bodies of revolution, and Monte Carlo with an exact sampler
 for every body in the grammar -- and verifies the decomposition theorem,
-monotonicity chain, and volume-product inequalities behind it numerically.
+the W'' > 0 lemma (by a certificate) and volume-product inequalities.
 
 The Monte Carlo samplers and the profile evaluators are vectorized over
 samples and quadrature nodes with numpy.  The package imports each

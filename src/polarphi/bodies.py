@@ -299,7 +299,7 @@ def _pnorm_rows(pts: np.ndarray, p: float) -> np.ndarray:
     m = a.max(axis=1)
     if math.isinf(p):
         return m
-    ratios = a / np.where(m > 0.0, m, 1.0)[:, None]  # a zero row stays 0
+    ratios = a / np.where((m > 0.0) & (m < math.inf), m, 1.0)[:, None]  # 0 or inf rows keep m
     return m * np.power(ratios, p).sum(axis=1) ** (1.0 / p)
 
 
@@ -349,7 +349,9 @@ def _gauge(spec, pts):
     if isinstance(spec, Revolution):
         return _revolution_gauge(spec, pts)
     if isinstance(spec, LinearImage):
-        return _gauge(spec.inner, pts @ spec.inverse.T)
+        with np.errstate(over="ignore"):  # a preimage past the double range is outside
+            pts = pts @ spec.inverse.T
+        return _gauge(spec.inner, pts)
     if isinstance(spec, Simplex):
         # facet form: K = {x : <x, -n v_j> <= 1 for every vertex}
         scale = -spec.dim * _simplex_facet_scale(spec.dim)

@@ -19,9 +19,9 @@ judged by their routes; phi mc takes n <= 200.
 
 The verify suites judge at fixed thresholds: a relative residual of at most
 1e-10 between two routes to phi (1e-12 for duality), 1e-5 for a
-finite-difference identity, and a volume-product or isotropy-chain slack of
-at least -1e-10.  Every row prints its residual or slack, so a reader can
-apply another threshold to the output.
+finite-difference identity, a volume-product or isotropy-chain slack of at
+least -1e-10, and a W'' bound above each cell's budget.  Each row prints its
+residual or slack, so a reader can apply another threshold to the output.
 
 Exit codes: 0 success, 1 a verified claim was violated, 2 invalid input.
 Errors print a single machine-parsable line `error: <reason>: <detail>` on
@@ -386,7 +386,7 @@ def build_parser() -> _Parser:
 
     for suite, func, text in (
         ("theorem", _cmd_verify_theorem, "product decomposition + duality"),
-        ("harness", _cmd_verify_harness, "monotonicity, signs, derivative identities"),
+        ("harness", _cmd_verify_harness, "W'' > 0 certificate, derivative identities"),
         ("inequalities", _cmd_verify_inequalities, "volume products and isotropy chain"),
     ):
         vsub.add_parser(suite, help=text).set_defaults(func=func)

@@ -1,9 +1,7 @@
-"""Grid verification of the analytic machinery behind the p-product formula.
+"""The analytic machinery behind the p-product formula: one certified lemma
+and the identities that carry it to the maximum at p = 2.
 
-The claim that phi(B_p^n) is maximized at p = 2 reduces to properties of
-
-    f1(x) = f(y1, y2, 1/x)                 on x in [0, 1]
-
+That maximum reduces to properties of f1(x) = f(y1, y2, 1/x) on [0, 1],
 whose logarithmic derivative telescopes into differences of
 
     F(x, y) = (y+2) [psi((y+2)x) - psi((y+2)(1-x))]
@@ -13,16 +11,18 @@ with G(x, y) = dF/dy (an eight-term psi/psi' expression), and
 dG/dx = H(x, y+2) - H(x, y) for
 
     H(x, y) = 2y [psi'(yx) + psi'(y(1-x))]
-            + y^2 [x psi''(yx) + (1-x) psi''(y(1-x))].
+            + y^2 [x psi''(yx) + (1-x) psi''(y(1-x))]
+            = W'(yx)/x + W'(y(1-x))/(1-x),          W(w) = w^2 psi'(w).
 
-Positivity of dH/dy rests on convexity of x^2 psi'(x), whose second
-derivative is 2 psi'(x) + 4x psi''(x) + x^2 psi'''(x).
+So dH/dy = W''(yx) + W''(y(1-x)), and the chain rests on one lemma, W'' > 0
+on (0, inf): then dG/dx > 0, and G(1/2, y) = 0 by antisymmetry, so G < 0 on
+(0, 1/2); F decreases in y there, so d ln f1/dx = F(x, y1) - F(x, y2) > 0
+for y1 < y2, and f1(x) = f1(1-x) puts the maximum at x = 1/2, p = 2.
 
-This module evaluates every one of those claims on explicit grids: sign and
-monotonicity assertions in :func:`monotonicity_report`, the derivative
-identities against central differences in :func:`finite_difference_report`,
-and the maximization itself in :func:`scan_p_argmax`.  Grid evidence, not
-proof -- but a sign flip anywhere would falsify the chain.
+:func:`monotonicity_report` proves the lemma by a certificate on all of
+(0, inf), :func:`finite_difference_report` checks each identity of the chain
+(derivatives against central differences, H against W', the symmetries),
+and :func:`scan_p_argmax` checks the maximization itself.
 """
 
 import math
@@ -34,18 +34,17 @@ from .errors import DomainError
 from .exact import _check_dim, _check_p, f_factor, phi_pball
 from .specfun import digamma, pentagamma, tetragamma, trigamma
 
-# Ties at this level are violations, not passes: strict monotonicity is the
-# claim, and a difference indistinguishable from rounding noise doesn't
-# support it.
-TIE_EPS = 1e-12
-
 # the largest relative residual of a finite-difference identity that passes
 FD_TOLERANCE = 1e-5
 
-# the grids of monotonicity_report; x stays clear of the psi poles at {0, 1}
-_X_GRID = np.linspace(1e-3, 1.0 - 1e-3, 101)
-_Y_GRID = np.geomspace(0.1, 50.0, 33)
-_PAIR_GRID = ((1.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.5, 7.5), (5.0, 20.0))
+# specfun's stated error: each polygamma is within PSI_ERR max(1, |value|)
+PSI_ERR = 2e-15
+
+# the certificate's cells tile [0, CELLS_TO]; its tail bound is positive
+# past TAIL_FROM, the root of 5u^2 - 6u - 10 at u = w^2
+CELLS_TO = 2.0
+TAIL_FROM = math.sqrt((3.0 + math.sqrt(59.0)) / 5.0)
+_MIN_WIDTH = 2.0**-10  # a cell this narrow that does not clear is a violation
 
 
 def default_p_grid() -> list:
@@ -57,14 +56,14 @@ def default_p_grid() -> list:
 
 @dataclass
 class GridReport:
-    """Outcome of one grid verification sweep.
+    """Outcome of one verification sweep, or of the W'' certificate.
 
     values holds one entry per check: phi at each exponent for the argmax
-    scan, the margin toward violation for the sign sweep, the relative
-    residual for the finite-difference identities.  violations holds
-    (point, value) pairs for every check not shown to hold: a value that
-    is not strictly inside its bound, NaN included.  A report passes when
-    it has no violations.  max_residual (the worst finite-difference
+    scan, rounding budget minus bound for each cell of the W'' certificate,
+    the relative residual for the finite-difference identities.  violations
+    holds (point, value) pairs for every check not shown to hold: a value
+    that is not strictly inside its bound, NaN included.  A report passes
+    when it has no violations.  max_residual (the worst finite-difference
     mismatch, or margin toward violation) and tolerance are reported
     numbers; they do not judge.
     """
@@ -189,74 +188,62 @@ def scan_p_argmax(n: int, p_grid=None) -> GridReport:
     )
 
 
-def monotonicity_report() -> GridReport:
-    """Sign and monotonicity sweep over every pointwise claim in the chain.
+def _cell_bound(a: float, b: float):
+    """(a lower bound of W'' on the cell [a, b], its rounding budget), 0 <= a < b.
 
-    Checks, with ties at 1e-12 counted as violations:
-      * ln f1 strictly increasing over consecutive grid x in (0, 1/2);
-      * F(x, .) strictly decreasing over consecutive grid y;
-      * dH/dy > 0 (central difference, h = 1e-5 max(1, y));
-      * G < 0 on x in (0, 1/2), G > 0 on (1/2, 1) (0.5 itself excluded);
-      * x^2 psi'(x) convex: second-derivative expression > 0 on a log grid.
+    W(w) = 1 + w^2 psi'(1+w), so W'' = 2 psi'(1+w) + 4w psi''(1+w) +
+    w^2 psi'''(1+w).  psi' and psi''' are positive and decreasing, psi''
+    negative and increasing, so W'' >= 2 psi'(1+b) + 4b psi''(1+a) +
+    a^2 psi'''(1+b) on the cell.  The budget is the polygamma error of that
+    sum, and as much again for its rounding (under 1e-15 of the terms).
     """
-    xs, ys, pairs = _X_GRID, _Y_GRID, _PAIR_GRID
-    margins = []  # one per check: the signed distance to a violation
-    violations = []
+    weights = (2.0, 4.0 * b, a * a)
+    values = (trigamma(1.0 + b), tetragamma(1.0 + a), pentagamma(1.0 + b))
+    bound = sum(w * v for w, v in zip(weights, values))
+    budget = 2.0 * PSI_ERR * sum(w * max(1.0, abs(v)) for w, v in zip(weights, values))
+    return bound, budget
 
-    def note(point, margin, value):
-        margins.append(margin)
-        if not margin < -TIE_EPS:
-            violations.append((point, value))
 
-    # ln f1 strictly increasing on (0, 1/2)
-    left = [x for x in xs if x < 0.5 - 1e-9]
-    for y1, y2 in pairs:
-        vals = [math.log(f1_eval(x, y1, y2)) for x in left]
-        for i in range(len(vals) - 1):
-            d = vals[i + 1] - vals[i]
-            note(("lnf1", y1, y2, left[i], left[i + 1]), -d, d)
+def monotonicity_report() -> GridReport:
+    """Certificate that W(w) = w^2 psi'(w) is strictly convex on (0, inf).
 
-    # F strictly decreasing in y for x < 1/2 (and, by the antisymmetry of F
-    # about x = 1/2, strictly increasing for x > 1/2; at 1/2 it is identically
-    # zero, so the midpoint is excluded like in the G sign sweep below)
-    for x in xs:
-        if abs(x - 0.5) <= 1e-9:
-            continue
-        fvals = [F_eval(x, y) for y in ys]
-        sign = 1.0 if x < 0.5 else -1.0
-        for j in range(len(fvals) - 1):
-            d = sign * (fvals[j + 1] - fvals[j])  # must be strictly negative
-            note(("F_mono", x, ys[j], ys[j + 1]), d, d)
+    [0, CELLS_TO] is bisected until each cell's bound from _cell_bound
+    clears its budget; the dyadic endpoints make 1 + a and 1 + b exact.  A
+    cell whose bound is NaN, or that is down to _MIN_WIDTH, is a violation.
 
-    # dH/dy > 0
-    for x in xs:
-        for y in ys:
-            h = 1e-5 * max(1.0, y)
-            d = (H_eval(x, y + h) - H_eval(x, y - h)) / (2.0 * h)
-            note(("dHdy", x, y), -d, d)
+    Past CELLS_TO no polygamma is needed: the asymptotic series of psi',
+    psi'' and psi''' envelop them (H. Alzer, Math. Comp. 66 (1997) 373-389),
+    and cut after 2, 3 and 2 Bernoulli terms they give W''(w) > 1/(3w^3) -
+    2/(5w^5) - 2/(3w^7), positive for w > TAIL_FROM = 1.4616.
 
-    # G sign split about 1/2
-    for x in xs:
-        if abs(x - 0.5) <= 1e-9:
-            continue
-        for y in ys:
-            g = G_eval(x, y)
-            # g must be strictly negative on the left half, positive on the right
-            note(("G_sign", x, y), g if x < 0.5 else -g, g)
-
-    # convexity of x^2 psi'(x)
-    for x in np.geomspace(0.01, 100.0, 201):
-        c = xsq_trigamma_convexity(float(x))
-        note(("convexity", float(x)), -c, c)
-
+    values holds budget - bound per cell, grid the cells in order, and
+    max_residual the largest value: minus the worst margin over a budget.
+    """
+    cells, margins, violations = [], [], []
+    todo = [(0.0, CELLS_TO)]
+    while todo:
+        a, b = todo.pop()
+        bound, budget = _cell_bound(a, b)
+        margin = budget - bound  # must be strictly negative
+        if margin < 0.0 or math.isnan(margin) or b - a <= _MIN_WIDTH:
+            cells.append((a, b))
+            margins.append(margin)
+            if not margin < 0.0:
+                violations.append(((a, b), bound))
+        else:
+            mid = 0.5 * (a + b)
+            todo += [(mid, b), (a, mid)]
     return GridReport(
-        description="sign/monotonicity sweep (lnf1, F, dH/dy, G sign, convexity)",
-        grid=[("x", len(xs)), ("y", len(ys)), ("pairs", len(pairs))],
+        description=(
+            f"W'' > 0 certificate: {len(cells)} cells on [0, {CELLS_TO:g}], "
+            f"Alzer tail bound positive for w > {TAIL_FROM:.4f}"
+        ),
+        grid=cells,
         values=margins,
         violations=violations,
-        # closest approach to a violation
         max_residual=_worst(margins, -math.inf),
-        tolerance=-TIE_EPS,
+        tolerance=0.0,
+        extras={"cells_to": CELLS_TO, "tail_from": TAIL_FROM},
     )
 
 
@@ -270,16 +257,18 @@ _FD_Y_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
 def finite_difference_report() -> GridReport:
-    """Derivative identities vs central differences, plus exact symmetries.
+    """Derivative identities vs central differences, H vs W', and exact symmetries.
 
     Residuals (relative, each passing at most FD_TOLERANCE):
       * d/dx ln f1  vs  F(x, y1) - F(x, y2)
       * dF/dy       vs  G
       * dG/dx       vs  H(x, y+2) - H(x, y)
+      * H(x, y)     vs  W'(yx)/x + W'(y(1-x))/(1-x), W(w) = w^2 psi'(w):
+        two closed forms (no difference quotient), the second symmetric in x, 1-x
       * second difference of x^2 psi'(x)  vs  the closed second derivative
         (step 1e-2 max(1,x) with one Richardson pass: the raw 1e-5 step is
         rounding-dominated for a second difference)
-      * f1(x) = f1(1-x), G(x,y) = -G(1-x,y), H(x,y) = H(1-x,y)
+      * f1(x) = f1(1-x), G(x,y) = -G(1-x,y)
     """
     xs = _fd_x_grid()
     residuals = []  # one relative residual per check
@@ -313,6 +302,15 @@ def finite_difference_report() -> GridReport:
             ref = H_eval(x, y + 2.0) - H_eval(x, y)
             note("dGdx", (x, y), abs(fd - ref) / max(abs(ref), abs(fd), 1e-12))
 
+    def w1(w):  # W'(w) for W(w) = w^2 psi'(w)
+        return w * (2.0 * trigamma(w) + w * tetragamma(w))
+
+    for x in xs:
+        for y in _FD_Y_GRID:
+            ref = H_eval(x, y)
+            alt = w1(y * x) / x + w1(y * (1.0 - x)) / (1.0 - x)
+            note("H_W", (x, y), abs(alt - ref) / max(abs(ref), 1e-12))
+
     def g2(x):
         return x * x * trigamma(x)
 
@@ -336,11 +334,9 @@ def finite_difference_report() -> GridReport:
         for y in (0.5, 2.0, 8.0):
             ga, gb = G_eval(x, y), G_eval(1.0 - x, y)
             note("G_antisym", (x, y), abs(ga + gb) / max(abs(ga), 1e-12))
-            ha, hb = H_eval(x, y), H_eval(1.0 - x, y)
-            note("H_sym", (x, y), abs(ha - hb) / max(abs(ha), 1e-12))
 
     return GridReport(
-        description="finite-difference identities and exact symmetries",
+        description="finite-difference identities, H vs W' and exact symmetries",
         grid=[("x", len(xs)), ("y", len(_FD_Y_GRID))],
         values=residuals,
         violations=violations,

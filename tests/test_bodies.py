@@ -192,6 +192,18 @@ def test_gauge_values():
     assert gauge_batch(cube, np.zeros((1, 2)))[0] == 0.0
 
 
+def test_a_preimage_past_the_double_range_is_outside():
+    # (1e300, 0) maps to (1e310, 0) under the inverse: the row overflows to
+    # inf, and its gauge must be inf, not inf/inf = NaN
+    squeezed = make_linear_image(np.diag([1e-10, 1.0]), PBall(2, 2.0))
+    far = np.array([[1e300, 0.0], [1e-10, 0.0]])
+    assert gauge_batch(squeezed, far).tolist() == [math.inf, 1.0]
+    assert not membership(squeezed, PRIMAL, far[0])
+    for p in (1.0, 1.5, 3.0):
+        body = make_linear_image(np.diag([1e-10, 1.0]), Product(p, Interval(), Interval()))
+        assert gauge_batch(body, far[:1]).tolist() == [math.inf], p
+
+
 def test_gauge_homogeneity():
     rng = np.random.default_rng(7)
     for doc in DOCS:

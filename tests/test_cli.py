@@ -206,21 +206,27 @@ def test_verify_harness():
     rows = json.loads(res.stdout)
     assert len(rows) == 7
     assert all(r["status"] == "pass" for r in rows)
-    # one point per check the sweep makes, not per grid axis
-    assert [r["points"] for r in rows] == [10_279, 514] + [66] * 5
+    # one point per check, not per grid axis: the certificate's cells, the
+    # identity checks, and each scan's exponents
+    assert [r["points"] for r in rows] == [61, 604] + [66] * 5
+    lemma = rows[0]
+    assert lemma["check"] == (
+        "W'' > 0 certificate: 61 cells on [0, 2], Alzer tail bound positive for w > 1.4616"
+    )
+    assert -1.1e-4 < lemma["max_residual"] < -1e-4  # the worst margin, negated
 
 
 def test_non_finite_numbers_print_as_null(monkeypatch, capsys):
-    # the first check of the first sweep is NaN: its report fails, and every
-    # row still prints
-    real_f1 = harness.f1_eval
+    # the certificate's first polygamma call is NaN: its row fails, and
+    # every row still prints
+    real_trigamma = harness.trigamma
     calls = []
 
-    def f1_eval(*args):
+    def trigamma(*args):
         calls.append(args)
-        return math.nan if len(calls) == 1 else real_f1(*args)
+        return math.nan if len(calls) == 1 else real_trigamma(*args)
 
-    monkeypatch.setattr(harness, "f1_eval", f1_eval)
+    monkeypatch.setattr(harness, "trigamma", trigamma)
     assert cli.main(["verify", "harness"]) == 1
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 7

@@ -1,4 +1,4 @@
-"""Monotonicity-machinery tests.
+"""Harness tests: the W'' > 0 certificate, the chain's identities, the scans.
 
 Frozen oracles, each derived by hand from polygamma series constants before
 the implementation was written (so they are independent of it):
@@ -94,9 +94,22 @@ def test_G_sign_split():
 
 
 def test_monotonicity_report_passes():
+    # the W'' > 0 certificate: 61 dyadic cells tile [0, 2] in order, the
+    # worst bound clears its rounding budget by about 1e-4, and the Alzer
+    # tail bound 1/(3w^3) - 2/(5w^5) - 2/(3w^7) is positive past 1.4616 < 2
     rep = monotonicity_report()
     assert rep.passed, rep.violations[:5]
-    assert rep.max_residual < -1e-12  # strictly inside, no ties
+    assert len(rep.grid) == len(rep.values) == 61
+    assert rep.grid[0][0] == 0.0 and rep.grid[-1][1] == harness.CELLS_TO == 2.0
+    assert all(b == c for (_, b), (c, _) in zip(rep.grid, rep.grid[1:]))
+    assert abs(rep.extras["tail_from"] - 1.4615844654256973) <= 1e-15
+    w = rep.extras["tail_from"]
+    assert abs(5.0 * w**4 - 6.0 * w**2 - 10.0) <= 1e-12
+    assert rep.extras["tail_from"] < rep.extras["cells_to"]
+    assert -1.1e-4 < rep.max_residual < -1e-4  # worst bound minus budget: 1.04e-4
+    for (a, b), margin in zip(rep.grid, rep.values):
+        bound, budget = harness._cell_bound(a, b)
+        assert margin == budget - bound < 0.0 and budget < 1e-13, (a, b)
 
 
 def test_finite_difference_report_passes():
@@ -200,12 +213,26 @@ def test_scan_argmax_skips_nan_values(monkeypatch):
 
 
 def test_monotonicity_counts_a_late_nan_as_a_violation(monkeypatch):
-    # one F value deep in the sweep, long after the first check
-    _nan_at(monkeypatch, "F_eval", (float(harness._X_GRID[-1]), float(harness._Y_GRID[16])))
+    # psi''(1 + a) at the left endpoint a = 1.5 of the cell [1.5, 2], which
+    # the bisection reaches after the whole of [0, 1]: the cell fails as it
+    # stands, since splitting it cannot mend a NaN
+    _nan_at(monkeypatch, "tetragamma", (2.5,))
     rep = monotonicity_report()
     assert not rep.passed
-    assert len(_nan_violations(rep)) == len(rep.violations) == 2  # both neighbouring steps
+    assert [cell for cell, _ in rep.violations] == [(1.5, 2.0)]
+    assert len(_nan_violations(rep)) == len(rep.violations) == 1
     assert math.isnan(rep.max_residual)
+
+
+def test_a_cell_that_never_clears_stops_at_the_minimum_width(monkeypatch):
+    # a finite psi''(1 + a) far too negative at a = 0.75: every cell that
+    # starts there fails, down to width 2^-10, which is the violation
+    real = harness.tetragamma
+    monkeypatch.setattr(harness, "tetragamma", lambda x: -1e3 if x == 1.75 else real(x))
+    rep = monotonicity_report()
+    assert [cell for cell, _ in rep.violations] == [(0.75, 0.75 + 2.0**-10)]
+    assert rep.violations[0][1] < 0.0
+    assert rep.max_residual == max(rep.values) > 0.0
 
 
 def test_finite_differences_count_a_nan_as_a_violation(monkeypatch):
