@@ -26,9 +26,13 @@ so polar membership is primal membership in the resolved body.  The regular
 simplex is the single non-symmetric variant (.symmetric is a fact of each
 type, and a product or linear image is symmetric when its parts are); its
 n+1 unit vertices have pairwise inner product -1/n and sum to zero, which
-makes the -n scaling of the polar exact.
+makes the -n scaling of the polar exact.  The vertices come in closed form
+from a Helmert matrix (an orthonormal basis of the sum-zero hyperplane of
+R^{n+1}), with no factorization, so at n = 1 they are exactly +1 and -1 and
+the polar -1 S is the interval itself.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -129,29 +133,20 @@ class Simplex:
         return _simplex_vertices(self.dim)
 
 
-_SIMPLEX_CACHE = {}
-
-
+@functools.cache
 def _simplex_vertices(n: int) -> np.ndarray:
-    """(n+1, n) array of unit vertices with pairwise inner product -1/n.
+    """(n+1, n) read-only array of unit vertices with pairwise inner product -1/n.
 
-    Built from the centered standard basis of R^{n+1} expressed in an
-    orthonormal basis of the hyperplane orthogonal to (1, ..., 1).
+    The Helmert closed form: vertex i has coordinate k = 1..n equal to s_k if
+    i < k, -k s_k if i = k and 0 if i > k, with s_k = sqrt((n+1)/(n k (k+1))).
+    Each column sums to zero, and at n = 1 the vertices are exactly +1 and -1.
+    Every draw and Simplex.vertices share the one array, so it is read-only.
     """
-    if n in _SIMPLEX_CACHE:
-        return _SIMPLEX_CACHE[n]
-    ones = np.ones((1, n + 1))
-    # SVD right-singular vectors: rows 1..n span the complement of ones
-    _, _, vt = np.linalg.svd(ones, full_matrices=True)
-    basis = vt[1:]  # (n, n+1), orthonormal
-    centered = np.eye(n + 1) - 1.0 / (n + 1)
-    verts = centered @ basis.T / math.sqrt(n / (n + 1.0))
-    norms = np.linalg.norm(verts, axis=1)
-    gram = verts @ verts.T
-    off = gram[~np.eye(n + 1, dtype=bool)]
-    if np.max(np.abs(norms - 1.0)) > 1e-12 or np.max(np.abs(off + 1.0 / n)) > 1e-12:
-        raise DomainError(f"simplex vertex construction failed for dim {n}")
-    _SIMPLEX_CACHE[n] = verts
+    k = np.arange(1.0, n + 1.0)
+    s = np.sqrt((n + 1.0) / (n * k * (k + 1.0)))
+    i = np.arange(n + 1.0)[:, None]
+    verts = np.where(i < k, s, np.where(i == k, -k * s, 0.0))
+    verts.flags.writeable = False
     return verts
 
 
@@ -318,7 +313,8 @@ def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
     (s0, r0), *rest = knots[knots[:, 0] >= 0.0]
     out = t * s0 + rho * r0
     for s, r in rest:
-        np.maximum(out, t * s + rho * r, out=out)
+        # a tip knot (r = 0) leaves out rho * r: rho may be inf, and inf * 0 is NaN
+        np.maximum(out, t * s + rho * r if r else t * s, out=out)
     return out
 
 
@@ -334,7 +330,9 @@ def _points(pts, dim) -> np.ndarray:
 
 def gauge_batch(spec, pts: np.ndarray) -> np.ndarray:
     """Row-wise gauge (Minkowski functional) of the primal body."""
-    return _gauge(spec, _points(pts, spec.dim))
+    pts = _points(pts, spec.dim)
+    with np.errstate(over="ignore"):  # a gauge past the double range is inf
+        return _gauge(spec, pts)
 
 
 def _gauge(spec, pts):
@@ -349,9 +347,12 @@ def _gauge(spec, pts):
     if isinstance(spec, Revolution):
         return _revolution_gauge(spec, pts)
     if isinstance(spec, LinearImage):
-        with np.errstate(over="ignore"):  # a preimage past the double range is outside
-            pts = pts @ spec.inverse.T
-        return _gauge(spec.inner, pts)
+        pts = pts @ spec.inverse.T
+        lost = ~np.isfinite(pts).all(axis=1)  # a preimage past the double range
+        pts[lost] = 0.0
+        out = _gauge(spec.inner, pts)
+        out[lost] = math.inf
+        return out
     if isinstance(spec, Simplex):
         # facet form: K = {x : <x, -n v_j> <= 1 for every vertex}
         scale = -spec.dim * _simplex_facet_scale(spec.dim)
@@ -392,14 +393,15 @@ def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
     """Boolean row-wise membership; boundary points count as inside."""
     body = resolve_side(spec, side)
     pts = _points(pts, body.dim)
-    if isinstance(body, Revolution):
-        # direct section test: cheaper than the gauge, and exact
-        t = pts[:, 0]
-        rho = np.linalg.norm(pts[:, 1:], axis=1)
-        inside_axis = np.abs(t) <= 1.0
-        r = body.profile.values(np.clip(t, -1.0, 1.0))
-        return inside_axis & (rho <= r)
-    return _gauge(body, pts) <= 1.0
+    with np.errstate(over="ignore"):  # a gauge past the double range is outside
+        if isinstance(body, Revolution):
+            # direct section test: cheaper than the gauge, and exact
+            t = pts[:, 0]
+            rho = np.linalg.norm(pts[:, 1:], axis=1)
+            inside_axis = np.abs(t) <= 1.0
+            r = body.profile.values(np.clip(t, -1.0, 1.0))
+            return inside_axis & (rho <= r)
+        return _gauge(body, pts) <= 1.0
 
 
 def membership(spec, side: str, point) -> bool:

@@ -202,6 +202,38 @@ def test_a_preimage_past_the_double_range_is_outside():
     for p in (1.0, 1.5, 3.0):
         body = make_linear_image(np.diag([1e-10, 1.0]), Product(p, Interval(), Interval()))
         assert gauge_batch(body, far[:1]).tolist() == [math.inf], p
+    # the preimage (1e310, -1e310) is not finite: inf, not the simplex's inf - inf
+    squeezed = make_linear_image(np.diag([1e-10, 1e-10]), Simplex(2))
+    assert gauge_batch(squeezed, [[1e300, -1e300]]).tolist() == [math.inf]
+    assert not membership(squeezed, PRIMAL, [1e300, -1e300])
+
+
+# one body of every type, gauged at 1.7e308 (1, ..., 1) on both sides: most of
+# these gauges are past the double range on one side or both
+FAR_BODIES = [
+    Interval(),
+    *(PBall(2, p) for p in (1.0, 2.0, 3.0, math.inf)),
+    Product(1.5, Interval(), PBall(1, 2.0)),
+    Simplex(2),
+    parse_body(DOCS[7]),
+    parse_body('{"type": "revolution", "dim": 2, "profile": "pball:3"}'),
+    make_linear_image(np.diag([1e-10, 1e-10]), Simplex(2)),
+    make_linear_image(np.diag([1e-10, 1.0]), PBall(2, 2.0)),
+]
+
+
+def test_a_gauge_past_the_double_range_is_inf():
+    # RuntimeWarning is an error in the tests, so an overflow must not warn;
+    # the gauge is 1.7e308 times the gauge of (1, ..., 1), or inf past the range
+    for body in FAR_BODIES:
+        for side in (PRIMAL, POLAR):
+            resolved = polar_body(body) if side == POLAR else body
+            ones = np.ones((1, body.dim))
+            with np.errstate(over="ignore"):
+                want = gauge_batch(resolved, ones)[0] * 1.7e308
+            got = gauge_batch(resolved, 1.7e308 * ones)[0]
+            assert math.isclose(got, want, rel_tol=1e-12), (body, side, got, want)
+            assert not membership(body, side, 1.7e308 * ones[0]), (body, side)
 
 
 def test_gauge_homogeneity():
@@ -252,7 +284,7 @@ def test_grid_gauge_matches_max_over_all_knots_bit_for_bit():
 
 
 def test_simplex_construction():
-    for n in (1, 2, 3, 5, 10):
+    for n in (1, 2, 3, 5, 10, 50, 200):
         v = Simplex(n).vertices
         assert v.shape == (n + 1, n)
         assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
@@ -260,6 +292,13 @@ def test_simplex_construction():
         off = gram[~np.eye(n + 1, dtype=bool)]
         assert np.abs(off + 1.0 / n).max() <= 1e-12
         assert np.abs(v.sum(axis=0)).max() <= 1e-12
+    # exact at n = 1, so the polar -1 S is the interval itself; every draw
+    # shares the array, so no caller may write to it
+    v = Simplex(1).vertices
+    assert v.tolist() == [[1.0], [-1.0]]
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0, 0] = 2.0
     assert not Simplex(2).symmetric
     assert PBall(2, 1.0).symmetric
 

@@ -109,7 +109,7 @@ def test_each_exact_route_judges_its_own_dimension(capsys):
 
 
 def test_phi_mc_rejects_a_large_simplex_before_building_it(monkeypatch, capsys):
-    # the vertices are an (n+1) x (n+1) SVD: the cap must come first
+    # the vertices are an (n+1) x n array: the cap must come first
     def unbuilt(n):
         raise AssertionError(f"simplex vertices built for dim {n}")
 
@@ -117,6 +117,14 @@ def test_phi_mc_rejects_a_large_simplex_before_building_it(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO('{"type": "simplex", "dim": 4000}'))
     assert cli.main(["phi", "mc", "--body", "-", "--samples", "100", "--seed", "1"]) == 2
     assert capsys.readouterr().err == "error: invalid-input: Monte Carlo supports dim <= 200, got 4000\n"
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_phi_mc_on_the_one_dimensional_simplex_is_one_ninth(seed, monkeypatch, capsys):
+    # its vertices are exactly +1 and -1, so its polar is exactly the interval
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"type": "simplex", "dim": 1}'))
+    assert cli.main(["phi", "mc", "--body", "-", "--samples", "20000", "--seed", seed]) == 0
+    assert '"estimate": 0.1111111111111111,' in capsys.readouterr().out
 
 
 def test_phi_mc_stdin_and_seeds():

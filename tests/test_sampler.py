@@ -408,6 +408,29 @@ def test_simplex_centroid_is_origin():
     assert np.abs(pts.mean(axis=0)).max() <= tol
 
 
+# every body in R^1 is an interval, so phi = 1/9 on each; the polar of
+# Simplex(1) is -1 times it, the interval itself only if its vertices are
+# exactly +1 and -1
+ONE_DIMENSIONAL = {
+    "interval": Interval(),
+    "pball-1": PBall(1, 1.0),
+    "pball-1.5": PBall(1, 1.5),
+    "pball-inf": PBall(1, math.inf),
+    "simplex": Simplex(1),
+    "linear-interval": make_linear_image([[-2.5]], Interval()),
+    "linear-simplex": make_linear_image([[0.3]], Simplex(1)),
+    "linear-pball-1.5": make_linear_image([[7.0]], PBall(1, 1.5)),
+}
+
+
+@pytest.mark.parametrize("name", ONE_DIMENSIONAL)
+def test_every_one_dimensional_body_lands_within_its_error_bar(name):
+    body = ONE_DIMENSIONAL[name]
+    for seed in range(100):
+        est = estimate_phi(body, 20_000, seed)
+        assert abs(est.estimate - 1.0 / 9.0) <= 6.0 * est.stderr, (seed, est)
+
+
 README_GRID = {"grid": [[-1.0, 0.0], [-0.5, 0.75], [0.0, 1.0], [0.5, 0.75], [1.0, 0.0]]}
 # a flat top (a segment with equal end radii) and flat ends, whose polar has
 # the vertices (+-1, 0)
