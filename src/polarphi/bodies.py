@@ -110,7 +110,7 @@ class Revolution:
 class LinearImage:
     matrix: np.ndarray
     inner: object
-    inverse: np.ndarray = field(repr=False, default=None)
+    inverse: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -298,17 +298,22 @@ def _pnorm_rows(pts: np.ndarray, p: float) -> np.ndarray:
     return m * np.power(ratios, p).sum(axis=1) ** (1.0 / p)
 
 
+def _named_product(body):
+    """A named revolution profile as the product [-1, 1] x_P B_2^{n-1}."""
+    return Product(body.profile.exponent, Interval(), PBall(body.dim - 1, 2.0))
+
+
 def _revolution_gauge(spec: Revolution, pts: np.ndarray) -> np.ndarray:
-    """Named profiles: the l_P combination of |t| and |y|; grids: the support
+    """Named profiles: the gauge of their product; grids: the support
     function of the polar section, max_i (|t| |s_i| + |y| r_i) over its knots.
 
     The polar grid is even, mirrored exactly, so the knots with s_i >= 0
     give every value; a running max over them needs no (points, knots) array.
     """
-    t = np.abs(pts[:, 0])
-    rho = np.linalg.norm(pts[:, 1:], axis=1)
     if spec.profile.kind != "grid":
-        return _pnorm_rows(np.column_stack((t, rho)), spec.profile.exponent)
+        return _gauge(_named_product(spec), pts)
+    t = np.abs(pts[:, 0])
+    rho = _pnorm_rows(pts[:, 1:], 2.0)
     knots = polar_profile(spec.profile).knots
     (s0, r0), *rest = knots[knots[:, 0] >= 0.0]
     out = t * s0 + rho * r0
@@ -347,12 +352,11 @@ def _gauge(spec, pts):
     if isinstance(spec, Revolution):
         return _revolution_gauge(spec, pts)
     if isinstance(spec, LinearImage):
-        pts = pts @ spec.inverse.T
-        lost = ~np.isfinite(pts).all(axis=1)  # a preimage past the double range
-        pts[lost] = 0.0
-        out = _gauge(spec.inner, pts)
-        out[lost] = math.inf
-        return out
+        # rows divided by 2^(e-1), e the frexp exponent of their largest |x|,
+        # keep the preimage's partial products in range, and a power of two
+        # moves no bit of a finite gauge; 2^e is inf for rows near 1.8e308
+        scale = np.ldexp(1.0, np.frexp(np.abs(pts).max(axis=1))[1] - 1)
+        return _gauge(spec.inner, (pts / scale[:, None]) @ spec.inverse.T) * scale
     if isinstance(spec, Simplex):
         # facet form: K = {x : <x, -n v_j> <= 1 for every vertex}
         scale = -spec.dim * _simplex_facet_scale(spec.dim)
@@ -397,7 +401,7 @@ def membership_batch(spec, side: str, pts: np.ndarray) -> np.ndarray:
         if isinstance(body, Revolution):
             # direct section test: cheaper than the gauge, and exact
             t = pts[:, 0]
-            rho = np.linalg.norm(pts[:, 1:], axis=1)
+            rho = _pnorm_rows(pts[:, 1:], 2.0)
             inside_axis = np.abs(t) <= 1.0
             r = body.profile.values(np.clip(t, -1.0, 1.0))
             return inside_axis & (rho <= r)

@@ -128,18 +128,17 @@ def _json_value(v):
     return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _emit(records, fmt, stream=None) -> None:
-    stream = sys.stdout if stream is None else stream
+def _emit(records, fmt) -> None:
     if not records:
         return
     if fmt == "json":
         # repr is the shortest round-tripping form of every finite double;
         # JSON has no NaN or infinity, so a non-finite float prints as null
         records = [{k: _json_value(v) for k, v in rec.items()} for rec in records]
-        json.dump(records, stream, separators=(", ", ": "), allow_nan=False)
-        stream.write("\n")
+        json.dump(records, sys.stdout, separators=(", ", ": "), allow_nan=False)
+        sys.stdout.write("\n")
     else:
-        writer = csv.writer(stream, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         keys = list(records[0].keys())
         writer.writerow(keys)
         for rec in records:

@@ -17,12 +17,12 @@ cross-sectional one (the mixed term integrates to zero by symmetry).
 
 Every step is an exact rule; nothing is searched and nothing adapts.
 
-* Named profiles are x_P products.  "pball:P" is [-1, 1] x_P B_2^{n-1},
-  with r(t) = (1 - |t|^P)^{1/P}; "ball", "cone" and "cylinder" are the cases
-  P = 2, 1 and inf.  The polar of [-1, 1] x_P B_2^{n-1} is
-  [-1, 1] x_Q B_2^{n-1} with 1/P + 1/Q = 1, so the polar of a named profile
-  is the named profile with the dual exponent.  Its moments are Beta
-  functions (substitute u = |t|^P):
+* A named profile is one exponent P in [1, inf]: "pball:P" is
+  [-1, 1] x_P B_2^{n-1}, with r(t) = (1 - |t|^P)^{1/P}, and "ball", "cone"
+  and "cylinder" are the names of P = 2, 1 and inf, which print by name.
+  The polar of [-1, 1] x_P B_2^{n-1} is [-1, 1] x_Q B_2^{n-1} with
+  1/P + 1/Q = 1, so the polar of a named profile is the one with the dual
+  exponent.  Its moments are Beta functions (substitute u = |t|^P):
 
       m0 = (2/P) B(1/P, (n-1)/P + 1),  m2 = (2/P) B(3/P, (n-1)/P + 1),
       m+ = (2/P) B(1/P, (n+1)/P + 1),  and (2, 2/3, 2) at P = inf.
@@ -49,7 +49,7 @@ from .exact import PHI_PBALL_DIM_MAX, _check_dim, _check_p, _log_volume, dual_ex
 from .specfun import log_beta
 
 _NAMED_EXPONENT = {"ball": 2.0, "cone": 1.0, "cylinder": math.inf}
-_NAMED_POLAR = {"ball": "ball", "cone": "cylinder", "cylinder": "cone"}
+_EXPONENT_NAME = {P: name for name, P in _NAMED_EXPONENT.items()}
 
 
 @dataclass(frozen=True)
@@ -57,18 +57,14 @@ class RevolutionProfile:
     """Even concave radial profile on [-1, 1] with r(0) = 1.
 
     kind is "grid" for a validated piecewise-linear profile (knots = (k, 2)
-    array of (t, r) pairs), or one of the named x_P profiles "ball", "cone",
-    "cylinder" and "pball" (exponent param >= 1).
+    array of (t, r) pairs), or "pball" for the named profile of [-1, 1] x_P
+    B_2^{n-1}, one exponent P in [1, inf]; P = 2, 1 and inf are named "ball",
+    "cone" and "cylinder".
     """
 
     kind: str
-    param: float = 0.0
+    exponent: float = 0.0
     knots: object = None
-
-    @property
-    def exponent(self) -> float:
-        """P of a named profile, which is [-1, 1] x_P B_2^{n-1}."""
-        return _NAMED_EXPONENT.get(self.kind, self.param)
 
     def values(self, t) -> np.ndarray:
         """Profile values at the given axis coordinates."""
@@ -161,12 +157,9 @@ def parse_profile(value) -> RevolutionProfile:
     if isinstance(value, str):
         name = value.strip()
         if name in _NAMED_EXPONENT:
-            return RevolutionProfile(kind=name)
+            return RevolutionProfile(kind="pball", exponent=_NAMED_EXPONENT[name])
         if name.startswith("pball:"):
-            P = _check_p(name.split(":", 1)[1])
-            if math.isinf(P):
-                raise DomainError(f"pball:inf is the profile cylinder, got {value!r}")
-            return RevolutionProfile(kind="pball", param=P)
+            return RevolutionProfile(kind="pball", exponent=_check_p(name.split(":", 1)[1]))
         raise DomainError(f"unknown profile {value!r}")
     if isinstance(value, dict) and set(value.keys()) == {"grid"}:
         return RevolutionProfile(kind="grid", knots=_validate_grid(value["grid"]))
@@ -177,9 +170,7 @@ def profile_to_json(profile: RevolutionProfile):
     """Canonical description of a profile; parse_profile reads it back."""
     if profile.kind == "grid":
         return {"grid": [[float(a), float(b)] for a, b in profile.knots]}
-    if profile.kind == "pball":
-        return f"pball:{profile.param!r}"
-    return profile.kind
+    return _EXPONENT_NAME.get(profile.exponent, f"pball:{profile.exponent!r}")
 
 
 def _polar_knots(knots: np.ndarray) -> np.ndarray:
@@ -221,12 +212,7 @@ def polar_profile(profile: RevolutionProfile) -> RevolutionProfile:
         raise DomainError("polar_profile expects a RevolutionProfile")
     if profile.kind == "grid":
         return RevolutionProfile(kind="grid", knots=_polar_knots(profile.knots))
-    if profile.kind in _NAMED_POLAR:
-        return RevolutionProfile(kind=_NAMED_POLAR[profile.kind])
-    q = dual_exponent(profile.param).q
-    if math.isinf(q):
-        return RevolutionProfile(kind="cylinder")
-    return RevolutionProfile(kind="pball", param=q)
+    return RevolutionProfile(kind="pball", exponent=dual_exponent(profile.exponent).q)
 
 
 # ---------------------------------------------------------------------------

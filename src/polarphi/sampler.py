@@ -89,6 +89,7 @@ from .bodies import (
     PBall,
     Product,
     Simplex,
+    _named_product,
     _pnorm_rows,
     _simplex_vertices,
     membership_batch,  # not called here; the benchmark's trace hooks this name
@@ -245,11 +246,6 @@ def _gamma_gs(bases, p, slot, k, pool):
 # ---------------------------------------------------------------------------
 # the cone-measure rules
 # ---------------------------------------------------------------------------
-
-
-def _named_product(body):
-    """A named revolution profile as the product [-1, 1] x_P B_2^{n-1}."""
-    return Product(body.profile.exponent, Interval(), PBall(body.dim - 1, 2.0))
 
 
 def _slot_count(body):

@@ -22,6 +22,7 @@ from polarphi.bodies import (
     PBall,
     Product,
     Simplex,
+    _pnorm_rows,
     _revolution_gauge,
     gauge_batch,
     make_linear_image,
@@ -206,6 +207,9 @@ def test_a_preimage_past_the_double_range_is_outside():
     squeezed = make_linear_image(np.diag([1e-10, 1e-10]), Simplex(2))
     assert gauge_batch(squeezed, [[1e300, -1e300]]).tolist() == [math.inf]
     assert not membership(squeezed, PRIMAL, [1e300, -1e300])
+    # the preimage (0, -1e308) is finite though its partial products are not
+    sheared = make_linear_image(np.linalg.inv([[2.0, 2.0], [0.0, 1.0]]), PBall(2, 2.0))
+    assert gauge_batch(sheared, [[1e308, -1e308]]).tolist() == [1e308]
 
 
 # one body of every type, gauged at 1.7e308 (1, ..., 1) on both sides: most of
@@ -234,6 +238,17 @@ def test_a_gauge_past_the_double_range_is_inf():
             got = gauge_batch(resolved, 1.7e308 * ones)[0]
             assert math.isclose(got, want, rel_tol=1e-12), (body, side, got, want)
             assert not membership(body, side, 1.7e308 * ones[0]), (body, side)
+
+
+def test_revolution_gauge_far_inside_the_double_range():
+    # rho is max-factored, so (0, 1e200, 0) gauges to 1e200 times (0, 1, 0)
+    # on both sides of named and grid profiles, with no overflow warning
+    grid = {"grid": [[-1, 0], [-0.5, 0.75], [0, 1], [0.5, 0.75], [1, 0]]}
+    for profile in ("cylinder", "ball", "pball:3", grid):
+        primal = parse_body({"type": "revolution", "dim": 3, "profile": profile})
+        for body in (primal, polar_body(primal)):
+            far, unit = gauge_batch(body, [[0.0, 1e200, 0.0], [0.0, 1.0, 0.0]])
+            assert math.isclose(far, 1e200 * unit, rel_tol=1e-12), (profile, far, unit)
 
 
 def test_gauge_homogeneity():
@@ -278,7 +293,7 @@ def test_grid_gauge_matches_max_over_all_knots_bit_for_bit():
         pts[100:150, 1:] = 0.0
         knots = polar_profile(body.profile).knots
         t = np.abs(pts[:, 0])[:, None]
-        rho = np.linalg.norm(pts[:, 1:], axis=1)[:, None]
+        rho = _pnorm_rows(pts[:, 1:], 2.0)[:, None]
         ref = (t * np.abs(knots[:, 0]) + rho * knots[:, 1]).max(axis=1)
         assert np.array_equal(_revolution_gauge(body, pts), ref)
 

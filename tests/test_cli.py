@@ -356,7 +356,7 @@ def test_bad_exponent_is_invalid_input(monkeypatch, capsys):
         (["scan", "--dim", "3", "--grid", "1,1_5,2,inf"], None),
         (["phi", "exact", "--dim", "3", "--p", "nan"], None),
         (["scan", "--dim", "3", "--grid", "1,2,x,inf"], None),
-        (["revolution", "--profile", "pball:inf", "--dim", "3"], None),
+        (["revolution", "--profile", "pball:1_5", "--dim", "3"], None),
         (["phi", "mc", "--body", "-", "--samples", "10", "--seed", "1"],
          '{"type": "pball", "dim": 2, "p": "Infinity"}'),
         (["phi", "mc", "--body", "-", "--samples", "10", "--seed", "1"],

@@ -32,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from polarphi import revolution
+from polarphi import cli, revolution
 from polarphi.errors import DomainError, VerificationError
 from polarphi.exact import PHI_INTERVAL, phi_combine, phi_pball
 from polarphi.revolution import (
@@ -237,6 +237,23 @@ def test_profile_serialization():
         assert profile_to_json(parse_profile(text)) == text
 
 
+def test_a_named_profile_is_its_exponent(capsys):
+    # a name and its pball:P are one profile: equal, printed by name, with
+    # equal polars and reports, and the same revolution command output
+    for name, spec in (("ball", "pball:2"), ("cone", "pball:1"), ("cylinder", "pball:inf")):
+        named, pball = parse_profile(name), parse_profile(spec)
+        assert named == pball
+        assert profile_to_json(named) == profile_to_json(pball) == name
+        assert polar_profile(named) == polar_profile(pball)
+        for n in (2, 3, 7):
+            assert phi_revolution(named, n) == phi_revolution(pball, n)
+    outputs = []
+    for spec in ("cylinder", "pball:inf"):
+        assert cli.main(["revolution", "--profile", spec, "--dim", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_dim_validation():
     # the bound is the revolution's own n, though phi_pball runs at n - 1
     for n in (1, 1001):
@@ -248,8 +265,8 @@ def test_dim_validation():
     for desc in ("cone", README_GRID):
         with pytest.raises(DomainError, match="got 3.5$"):
             phi_revolution(parse_profile(desc), 3.5)
-    # pball:P takes the exponent rule, and P = inf is the cylinder
-    for spec in ("pball:abc", "pball:0.5", "pball:nan", "pball:inf"):
+    # pball:P takes the exponent rule
+    for spec in ("pball:abc", "pball:0.5", "pball:nan", "pball:1_5"):
         with pytest.raises(DomainError):
             parse_profile(spec)
 
